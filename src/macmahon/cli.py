@@ -34,6 +34,7 @@ from .identities import (
 )
 from .numerics import (
     DivergenceError,
+    NonConvergenceError,
     limit_check,
     lipschitz_value,
     monotangent,
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, ValueError) as exc:
+    except (DivergenceError, NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -43,7 +43,6 @@ from .series import (
     LambdaPoly,
     Series,
     arcsin_series,
-    lift_rationals,
     series_ring,
 )
 
@@ -261,14 +260,28 @@ def _even_arcsin_factor(y_order: int) -> Series:
     return two_asin_half.odd_part()
 
 
+def _scale_by_rationals(f: Series, u: Series) -> Series:
+    """f * u for a series u over the rationals whose coefficients act on f's as scalars."""
+    order = min(f.order, u.order)
+    out = []
+    for k in range(order + 1):
+        acc = f.ring.zero
+        for j in range(k + 1):
+            if u[j]:
+                acc = acc + f[k - j] * u[j]
+        out.append(acc)
+    return Series(out, f.ring)
+
+
 def _generating_rhs(gen_vals: dict, y_order: int, inner: CoeffRing, prefactor: bool) -> Series:
     """RHS of the generating identities in the Y = X^2 grading.
 
     ``gen_vals[j]`` is the weight-2j coefficient object (a q-expansion or a
-    formal generator); the square of 2*arcsin(X/2) enters through an actual
-    series composition.
+    formal generator).  The arcsin factors stay rational series: the square
+    of 2*arcsin(X/2) enters through a composition with rational scalars, and
+    the prefactor (2/X)*arcsin(X/2) multiplies the coefficients as scalars.
     """
-    u = lift_rationals(_even_arcsin_factor(y_order), inner)
+    u = _even_arcsin_factor(y_order)
     asin_sq = (u * u).shift(1)  # (2 arcsin(X/2))^2 as a series in Y
     phi = Series(
         [inner.zero]
@@ -276,7 +289,7 @@ def _generating_rhs(gen_vals: dict, y_order: int, inner: CoeffRing, prefactor: b
         inner,
     )
     rhs = phi.compose(asin_sq).exp()
-    return u * rhs if prefactor else rhs
+    return _scale_by_rationals(rhs, u) if prefactor else rhs
 
 
 def _validate_window(q_order: int, x_order: int):

@@ -14,11 +14,26 @@ Truncation is explicit and lossy: a binary operation returns a series whose
 order is the minimum of the operands' orders, i.e. exactly the range of
 coefficients both inputs determine.  All values are immutable after
 construction and every operation is a pure function.
+
+Costs, for order n and coefficient products counted as one step each:
+
+* ``a * b`` between two series over :data:`RATIONALS` is one big-integer
+  product by Kronecker substitution (the numerators over a common
+  denominator are packed into one int each), so the convolution runs in
+  CPython's Karatsuba multiply; other rings use the O(n^2) schoolbook
+  convolution.
+* :meth:`Series.exp` uses the recurrence for b' = a'b: O(n^2) coefficient
+  products.
+* :meth:`Series.compose` builds the n powers of the inner series (n series
+  products) and then takes O(n^2) coefficient-times-scalar products.  An
+  inner series over :data:`RATIONALS` acts through rational scalars, so the
+  outer coefficients are never multiplied by each other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable
 
 
@@ -183,6 +198,42 @@ def _depth(x) -> int:
     return x._series_depth if isinstance(x, Series) else 0
 
 
+def _pack(nums, width: int) -> int:
+    """sum_i nums[i] * 256^(width*i) for signed ints that fit in width-byte slots."""
+    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in nums)
+    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in nums)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _kronecker_product(a: tuple, b: tuple) -> tuple:
+    """Truncated product of two equally long tuples of rationals.
+
+    Each operand becomes integer numerators over its lcm denominator.  Every
+    product coefficient is a sum of at most ``len(a)`` numerator products,
+    so a slot of bitlen(len * max|a| * max|b|) + 1 bits (the extra bit for
+    the sign), rounded up to whole bytes, holds it exactly.  The packed
+    operands are multiplied as plain ints; adding half a slot to each of the
+    low ``len(a)`` slots makes them all non-negative, so they are read off
+    the bytes of the product without carries.
+    """
+    size = len(a)
+    den_a = lcm(*(c.denominator for c in a))
+    den_b = lcm(*(c.denominator for c in b))
+    num_a = [c.numerator * (den_a // c.denominator) for c in a]
+    num_b = [c.numerator * (den_b // c.denominator) for c in b]
+    bound = size * max(map(abs, num_a)) * max(map(abs, num_b))
+    if not bound:
+        return (Fraction(0),) * size
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    low = (_pack(num_a, width) * _pack(num_b, width) + bias) & ((1 << (8 * width * size)) - 1)
+    raw = low.to_bytes(width * size, "little")
+    den = den_a * den_b
+    return tuple(Fraction(int.from_bytes(raw[k:k + width], "little") - half, den)
+                 for k in range(0, width * size, width))
+
+
 class Series:
     """A truncated power series: ``coeffs[i]`` is the coefficient of x^i.
 
@@ -261,9 +312,18 @@ class Series:
         return (-self) + other
 
     def __mul__(self, other):
+        """Product truncated at the smaller order; a non-peer operand acts as a scalar.
+
+        Two series over :data:`RATIONALS` multiply by Kronecker substitution
+        (:func:`_kronecker_product`): one big-integer product plus O(n)
+        packing and n + 1 fraction reductions.  Every other ring uses the
+        schoolbook convolution, (n + 1)(n + 2)/2 coefficient products.
+        """
         if self._is_peer(other):
             n = min(self.order, other.order)
             a, b = self.coeffs, other.coeffs
+            if self.ring is RATIONALS and other.ring is RATIONALS:
+                return Series(_kronecker_product(a[: n + 1], b[: n + 1]))
             out = []
             for k in range(n + 1):
                 acc = a[0] * b[k]
@@ -347,27 +407,58 @@ class Series:
     # -- analytic operations ------------------------------------------
 
     def exp(self) -> "Series":
-        """exp of a series with zero constant term, truncated at this order."""
-        if not self.coeffs[0] == self.ring.zero:
+        """exp of a series with zero constant term, truncated at this order.
+
+        b = exp(a) solves b' = a'b with b_0 = 1, which gives the recurrence
+        b_k = (1/k) * sum_{i=1..k} (i a_i) b_{k-i}.  It holds in every
+        commutative Q-algebra and costs O(n^2) coefficient products (pairs
+        with a zero factor are skipped).
+        """
+        zero = self.ring.zero
+        if not self.coeffs[0] == zero:
             raise NonzeroConstantTermError("exp needs a vanishing constant term")
-        one = self._one_like()
-        ans = one
-        for n in range(self.order, 0, -1):
-            ans = one + (self * ans) / n
-        return ans
+        scaled = [(i, i * c) for i, c in enumerate(self.coeffs) if i and not c == zero]
+        out = [self.ring.one]
+        nonzero = [True]
+        for k in range(1, self.order + 1):
+            acc = zero
+            for i, ia in scaled:
+                if i > k:
+                    break
+                if nonzero[k - i]:
+                    acc = acc + ia * out[k - i]
+            out.append(acc / k)
+            nonzero.append(not acc == zero)
+        return Series(out, self.ring)
 
     def compose(self, inner: "Series") -> "Series":
-        """Substitute ``inner`` (zero constant term) into this series."""
-        if not self._is_peer(inner):
-            raise TypeError("composition needs two series over the same ring level")
-        if not inner.coeffs[0] == inner.ring.zero:
+        """Substitute ``inner`` (zero constant term) into this series.
+
+        ``inner`` is either a peer of this series or a series over
+        :data:`RATIONALS`, whose coefficients then act as scalars on this
+        series' coefficients.  With P_i = inner^i (n series products),
+        coefficient j of the result is sum_{i<=j} self[i] * P_i[j]: O(n^2)
+        coefficient-times-scalar products, zero scalars skipped.
+        """
+        if not (self._is_peer(inner) or (isinstance(inner, Series) and inner.ring is RATIONALS)):
+            raise TypeError("composition needs an inner series over the same ring level "
+                            "or over the rationals")
+        zero = inner.ring.zero
+        if not inner.coeffs[0] == zero:
             raise NonzeroConstantTermError("composition needs a vanishing inner constant term")
         order = min(self.order, inner.order)
         inner = inner.truncate(order)
-        result = Series.constant(self.coeffs[order], order, self.ring)
-        for i in range(order - 1, -1, -1):
-            result = result * inner + self.coeffs[i]
-        return result
+        powers = [Series.constant(inner.ring.one, order, inner.ring), inner][: order + 1]
+        while len(powers) <= order:
+            powers.append(powers[-1] * inner)
+        out = []
+        for j in range(order + 1):
+            acc = self.ring.zero
+            for c, power in zip(self.coeffs, powers[: j + 1]):
+                if not power[j] == zero:
+                    acc = acc + c * power[j]
+            out.append(acc)
+        return Series(out, self.ring)
 
     # -- display -------------------------------------------------------
 

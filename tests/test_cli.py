@@ -176,3 +176,21 @@ class TestTopLevel:
 
     def test_no_args_is_usage(self, capsys):
         assert main([]) == 1
+
+
+class TestRobustness:
+    def test_verify_all_n_max_50_finishes(self, capsys):
+        # --n-max is shared by lemma and exp-qsh; n = 50 once hung exp-qsh
+        code, out, _ = run(capsys, "verify", "--all", "--n-max", "50", "--format", "json")
+        assert code == 0
+        reports = json.loads(out)["payload"]["reports"]
+        assert len(reports) == 5
+        assert all(r["status"] == "verified" for r in reports)
+
+    def test_nonconvergence_is_exit_one(self, capsys):
+        code, out, err = run(capsys, "numeric", "--check", "monotangent", "--k", "2",
+                             "--tau", "0,0.000001")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err

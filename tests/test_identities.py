@@ -6,9 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from macmahon.identities import (
+    GENPOLYS,
     GeneratorPoly,
     NoRepresentationError,
     _compare_even_series,
+    _generating_rhs,
     _solve_exact,
     express_in_generators,
     extract_polynomials,
@@ -22,7 +24,43 @@ from macmahon.identities import (
 )
 from macmahon.qseries import bernoulli, eisenstein, eisenstein_odd, macmahon_a, macmahon_c, \
     multiple_divisor_series
-from macmahon.series import LAMBDAS, RATIONALS, LambdaPoly, Series, series_ring
+from macmahon.series import (
+    LAMBDAS,
+    RATIONALS,
+    LambdaPoly,
+    Series,
+    arcsin_series,
+    lift_rationals,
+    series_ring,
+)
+
+
+def lifted_x_route(gen_vals, x_order, inner, prefactor):
+    """The generating right-hand side built literally in X, every rational factor lifted.
+
+    The same route as ``test_straight_x_grading_agrees``, with exp and
+    composition taken from their definitions (sum f^n/n!, Horner) so that it
+    shares no algorithm with the library's Y-graded fast path.
+    """
+    s = lift_rationals(arcsin_series(x_order).dilate(F(1, 2)) * 2, inner)
+    phi_coeffs = [inner.zero] * (x_order + 1)
+    for j in range(1, x_order // 2 + 1):
+        phi_coeffs[2 * j] = gen_vals[j] * F(1 if j % 2 else -1, j)
+    phi = Series(phi_coeffs, inner)
+    inner_arg = Series.constant(phi[x_order], x_order, inner)
+    for i in range(x_order - 1, -1, -1):
+        inner_arg = inner_arg * s + phi[i]
+    rhs = power = Series.constant(inner.one, x_order, inner)
+    for n in range(1, x_order + 1):
+        power = power * inner_arg / n
+        rhs = rhs + power
+    if prefactor:
+        u = (arcsin_series(x_order + 1).dilate(F(1, 2)) * 2).odd_part()
+        pre = [F(0)] * (x_order + 1)
+        for j in range(x_order // 2 + 1):
+            pre[2 * j] = u[j]
+        rhs = lift_rationals(Series(pre), inner) * rhs
+    return rhs
 
 
 class TestMainIdentities:
@@ -82,6 +120,29 @@ class TestMainIdentities:
             assert rhs[2 * r] == expected
         for odd_exp in range(1, x_order + 1, 2):
             assert rhs[odd_exp] == inner.zero
+
+
+class TestFastRhsAgainstLiftedRoute:
+    @pytest.mark.parametrize("side", ["A", "C"])
+    def test_q_series_window(self, side):
+        q_order, x_order = 12, 8
+        inner = series_ring(RATIONALS, q_order)
+        gen = eisenstein if side == "A" else eisenstein_odd
+        gens = {j: gen(2 * j, q_order) for j in range(1, x_order // 2 + 1)}
+        fast = _generating_rhs(gens, x_order // 2, inner, prefactor=(side == "A"))
+        slow = lifted_x_route(gens, x_order, inner, prefactor=(side == "A"))
+        assert fast.order == x_order // 2
+        assert all(fast[r] == slow[2 * r] for r in range(x_order // 2 + 1))
+        assert all(slow[k] == inner.zero for k in range(1, x_order + 1, 2))
+
+    @pytest.mark.parametrize("side", ["A", "C"])
+    def test_extracted_polynomials(self, side):
+        r_max = 4
+        prefix = "G" if side == "A" else "Go"
+        gens = {j: GeneratorPoly.generator(f"{prefix}{2 * j}") for j in range(1, r_max + 1)}
+        slow = lifted_x_route(gens, 2 * r_max, GENPOLYS, prefactor=(side == "A"))
+        assert extract_polynomials(side, r_max) == [slow[2 * r] for r in range(1, r_max + 1)]
+        assert all(slow[k] == GENPOLYS.zero for k in range(1, 2 * r_max + 1, 2))
 
 
 class TestExtractPolynomials:

@@ -16,11 +16,36 @@ from macmahon.series import (
     lift_rationals,
     series_ring,
 )
-from macmahon.qseries import eisenstein
+from macmahon.identities import GENPOLYS, GeneratorPoly
+from macmahon.qseries import eisenstein, eisenstein_odd
+from macmahon.quasishuffle import QuasiShuffleAlgebra
 
 
 def sigma1_brute(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
+
+
+def schoolbook(a, b):
+    """Truncated convolution of two coefficient sequences, straight from the definition."""
+    n = min(len(a), len(b))
+    return tuple(sum((a[i] * b[k - i] for i in range(k + 1)), F(0)) for k in range(n))
+
+
+def taylor_exp(f):
+    """exp(f) = sum_n f^n / n!, summed to the truncation order of f."""
+    total, power = f._one_like(), f._one_like()
+    for n in range(1, f.order + 1):
+        power = power * f
+        total = total + power / factorial(n)
+    return total
+
+
+def horner_compose(f, g):
+    """f(g) by Horner's rule over peers: f_n, then acc * g + f_i down to i = 0."""
+    acc = Series.constant(f[g.order], g.order, f.ring)
+    for i in range(g.order - 1, -1, -1):
+        acc = acc * g + f[i]
+    return acc
 
 
 def rand_series(rng, order, zero_constant=False):
@@ -246,3 +271,163 @@ class TestLambdaPoly:
         f = Series([LambdaPoly({1: 1}), LAMBDAS.one], LAMBDAS)
         sq = f * f
         assert sq == Series([LambdaPoly({2: 1}), LambdaPoly({1: 2})], LAMBDAS)
+
+
+class TestKroneckerProduct:
+    """Rational products against a schoolbook convolution written here."""
+
+    @staticmethod
+    def rand_coeffs(rng, order):
+        out = []
+        for _ in range(order + 1):
+            kind = rng.random()
+            if kind < 0.2:
+                out.append(F(0))
+            elif kind < 0.3:
+                out.append(F(rng.randint(-2**520, 2**520), rng.randint(1, 2**40)))
+            else:
+                out.append(F(rng.randint(-50, 50), rng.randint(1, 30)))
+        return out
+
+    def test_random_against_schoolbook(self):
+        rng = random.Random(20261017)
+        for _ in range(150):
+            a = self.rand_coeffs(rng, rng.randint(0, 30))
+            b = self.rand_coeffs(rng, rng.randint(0, 30))
+            prod = Series(a) * Series(b)
+            assert prod.coeffs == schoolbook(a, b)
+            assert prod.ring is RATIONALS
+            assert all(type(c) is F for c in prod.coeffs)
+
+    def test_signs_and_cancellation(self):
+        # (1 - x)(1 + x + x^2 + ...) = 1 exactly, with negative numerators
+        geometric = Series([1] * 12)
+        assert (Series([1, -1] + [0] * 10) * geometric) == Series.constant(F(1), 11)
+        neg = Series([F(-3, 7), F(-1, 2), F(-5)])
+        assert (neg * neg).coeffs == schoolbook(neg.coeffs, neg.coeffs)
+
+    def test_zero_operands(self):
+        zero = Series.constant(F(0), 6)
+        f = Series([F(1, 3), -2, 0, F(7, 5), 0, 0, F(-9, 4)])
+        assert (zero * f) == zero
+        assert (f * zero) == zero
+        assert (zero * zero) == zero
+        sparse = Series([0, 0, 0, F(2, 9), 0, 0, 0])
+        assert (sparse * f).coeffs == schoolbook(sparse.coeffs, f.coeffs)
+
+    def test_order_zero(self):
+        assert (Series([F(-2, 3)]) * Series([F(9, 4)])) == Series([F(-3, 2)])
+        assert (Series([F(5)]) * Series([F(1, 2), 4, 7])) == Series([F(5, 2)])
+
+    def test_unequal_orders_truncate_to_min(self):
+        a = Series([F(1, 2), 3, F(-4, 5), 6, 7, 8])
+        b = Series([2, F(-1, 3), 5])
+        assert (a * b).order == (b * a).order == 2
+        assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs)
+        assert (b * a).coeffs == schoolbook(b.coeffs, a.coeffs)
+
+    def test_huge_next_to_tiny(self):
+        big = 2**501 + 12345
+        a = Series([F(big, 3), F(1, big), F(-big), F(1, 7), F(0), F(-1)])
+        b = Series([F(-1, big), F(big, big + 2), F(3), F(-big, 11), F(1), F(2**600)])
+        assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs)
+        assert (a * a).coeffs == schoolbook(a.coeffs, a.coeffs)
+
+    def test_q_series_products(self):
+        g2, g4 = eisenstein(2, 40), eisenstein(4, 40)
+        assert (g2 * g4).coeffs == schoolbook(g2.coeffs, g4.coeffs)
+        assert (g2 ** 3).coeffs == schoolbook(schoolbook(g2.coeffs, g2.coeffs), g2.coeffs)
+
+
+class TestExpRecurrence:
+    """The recurrence exp against sum f^n/n! in every ring it serves."""
+
+    def test_rationals(self):
+        rng = random.Random(1017)
+        for order in range(0, 14):
+            f = rand_series(rng, order, zero_constant=True)
+            assert f.exp() == taylor_exp(f)
+
+    def test_q_series_coefficients(self):
+        rng = random.Random(1018)
+        qring = series_ring(RATIONALS, 9)
+        for _ in range(3):
+            coeffs = [qring.zero] + [rand_series(rng, 9) for _ in range(6)]
+            f = Series(coeffs, qring)
+            assert f.exp() == taylor_exp(f)
+        odd = Series([qring.zero] + [eisenstein_odd(2 * j, 9) for j in range(1, 6)], qring)
+        assert odd.exp() == taylor_exp(odd)
+
+    def test_lambda_polys(self):
+        rng = random.Random(1019)
+        for _ in range(5):
+            coeffs = [LAMBDAS.zero] + [
+                LambdaPoly({rng.randint(0, 3): F(rng.randint(-5, 5), rng.randint(1, 5)),
+                            rng.randint(0, 3): F(rng.randint(-5, 5), rng.randint(1, 5))})
+                for _ in range(8)]
+            f = Series(coeffs, LAMBDAS)
+            assert f.exp() == taylor_exp(f)
+
+    def test_generator_polys(self):
+        g = [GeneratorPoly.generator(f"G{2 * j}") for j in range(1, 5)]
+        coeffs = [GENPOLYS.zero, g[0], g[1] * F(-1, 2), g[0] * g[1] + F(1, 3), GENPOLYS.zero,
+                  g[3] * F(2, 5)]
+        f = Series(coeffs, GENPOLYS)
+        assert f.exp() == taylor_exp(f)
+
+    def test_word_combos(self):
+        algebra = QuasiShuffleAlgebra()
+        w = algebra.word
+        coeffs = [algebra.ring.zero, w(2), w(4) * F(-1, 2), w(2, 3) + w(1) * 3,
+                  algebra.ring.zero, w(5) * F(1, 7)]
+        f = Series(coeffs, algebra.ring)
+        assert f.exp() == taylor_exp(f)
+
+    def test_sparse_argument(self):
+        # only even powers present: the recurrence skips the zero pairs
+        f = Series([0, 0, F(1, 3), 0, F(-2), 0, 0, 0, F(5, 2), 0])
+        assert f.exp() == taylor_exp(f)
+        assert all(f.exp()[k] == 0 for k in range(1, 10, 2))
+
+
+class TestComposeRationalInner:
+    """Composition with a rational inner series acting by scalars."""
+
+    def test_rational_against_horner(self):
+        rng = random.Random(1020)
+        for order in range(0, 12):
+            f = rand_series(rng, order)
+            g = rand_series(rng, order, zero_constant=True)
+            assert f.compose(g) == horner_compose(f, g)
+
+    def test_q_series_outer_against_lifted_peer(self):
+        rng = random.Random(1021)
+        qring = series_ring(RATIONALS, 8)
+        for _ in range(3):
+            outer = Series([rand_series(rng, 8) for _ in range(7)], qring)
+            inner = rand_series(rng, 6, zero_constant=True)
+            fast = outer.compose(inner)
+            lifted = lift_rationals(inner, qring)
+            assert fast == outer.compose(lifted)
+            assert fast == horner_compose(outer, lifted)
+
+    def test_generator_outer_against_lifted_peer(self):
+        g2, g4 = GeneratorPoly.generator("G2"), GeneratorPoly.generator("G4")
+        outer = Series([GENPOLYS.zero, g2, g4 * F(-1, 2), g2 * g4, g2 * g2 * F(1, 3)], GENPOLYS)
+        inner = (arcsin_series(4).dilate(F(1, 2)) * 2)
+        assert outer.compose(inner) == horner_compose(outer, lift_rationals(inner, GENPOLYS))
+
+    def test_unequal_orders(self):
+        qring = series_ring(RATIONALS, 4)
+        outer = Series([eisenstein(2, 4)] * 8, qring)
+        inner = Series([0, 1, F(1, 2), F(-1, 3)])
+        assert outer.compose(inner).order == 3
+        assert outer.compose(inner) == horner_compose(outer.truncate(3), lift_rationals(inner, qring))
+
+    def test_other_inner_rings_rejected(self):
+        qring = series_ring(RATIONALS, 4)
+        outer = Series([eisenstein(2, 4)] * 3, qring)
+        with pytest.raises(TypeError):
+            outer.compose(Series([LAMBDAS.zero, LAMBDAS.one, LAMBDAS.zero], LAMBDAS))
+        with pytest.raises(NonzeroConstantTermError):
+            outer.compose(Series([1, 1, 0]))
