@@ -39,6 +39,7 @@ from .numerics import (
 )
 from .qseries import (
     Index,
+    RouteMismatchError,
     bernoulli,
     divisor_power_sums,
     eisenstein,
@@ -68,7 +69,7 @@ __all__ = [
     "CoeffRing", "DivergenceError", "GeneratorPoly", "HARMONIC", "Index",
     "LAMBDAS", "LambdaPoly", "LimitReport", "Mismatch",
     "NoRepresentationError", "NonConvergenceError", "NonzeroConstantTermError",
-    "QuasiShuffleAlgebra", "RATIONALS", "Representation", "Series",
+    "QuasiShuffleAlgebra", "RATIONALS", "Representation", "RouteMismatchError", "Series",
     "SeriesValue", "TangentSum", "VerdictReport", "arcsin_series",
     "bernoulli", "divisor_power_sums", "eisenstein", "eisenstein_odd",
     "eval_qseries_at", "express_in_generators", "extract_polynomials",

@@ -24,6 +24,7 @@ import sys
 from . import __version__
 from .identities import (
     NoRepresentationError,
+    _monomials_up_to_weight,
     express_in_generators,
     format_generator_poly,
     lemma_combinatorial_check,
@@ -41,12 +42,12 @@ from .numerics import (
     multitangent,
 )
 from .qseries import (
+    RouteMismatchError,
     eisenstein,
     eisenstein_odd,
     macmahon_a,
     macmahon_c,
     multiple_divisor_series,
-    multiple_divisor_series_odd,
 )
 
 EXIT_OK = 0
@@ -118,8 +119,7 @@ def _cmd_series(args) -> int:
             raise UsageError(f"series {name} needs --index, e.g. --index 2,2")
         parts = _parse_index(args.index)
         param = {"index": list(parts)}
-        series = (multiple_divisor_series if name == "g"
-                  else multiple_divisor_series_odd)(parts, order)
+        series = multiple_divisor_series(parts, order, odd=name == "go")
         label = f"{name}({args.index})"
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown series name {name!r}")
@@ -218,7 +218,7 @@ def _cmd_express(args) -> int:
     probe = [(_GEN_NAME.match(n) and int(_GEN_NAME.match(n).group(2))) or 0 for n in names]
     if any(w < 2 for w in probe):
         raise UsageError("generators must look like G2, G4, Go2, ...")
-    n_monomials = _count_monomials(probe, weight_bound)
+    n_monomials = len(_monomials_up_to_weight(probe, weight_bound))
     q_order = args.q_order if args.q_order else max(30, n_monomials + 10)
     full_order = 2 * q_order
 
@@ -258,23 +258,6 @@ def _cmd_express(args) -> int:
     note = "  (solution space has positive dimension)" if rep.underdetermined else ""
     _emit(args, "express", params, payload, rendered + note)
     return EXIT_OK
-
-
-def _count_monomials(weights, bound) -> int:
-    count = 0
-
-    def rec(i, left):
-        nonlocal count
-        if i == len(weights):
-            count += 1
-            return
-        e = 0
-        while e * weights[i] <= left:
-            rec(i + 1, left - e * weights[i])
-            e += 1
-
-    rec(0, bound)
-    return count
 
 
 # ---------------------------------------------------------------------------
@@ -440,6 +423,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except RouteMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except RecursionError as exc:
+        print(f"error: recursion too deep: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DivergenceError, NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -374,22 +374,21 @@ class Representation:
     verify_order: int
 
 
-def _monomials_up_to_weight(gens: Sequence, bound: int) -> list:
+def _monomials_up_to_weight(weights: Sequence[int], bound: int) -> list:
     """Exponent vectors with sum of weights <= bound, graded-lex ordered."""
     out = []
 
     def rec(i, exps, weight):
-        if i == len(gens):
+        if i == len(weights):
             out.append(tuple(exps))
             return
-        _, w, _ = gens[i]
+        w = weights[i]
         e = 0
         while weight + e * w <= bound:
             rec(i + 1, exps + [e], weight + e * w)
             e += 1
 
     rec(0, [], 0)
-    weights = [g[1] for g in gens]
     out.sort(key=lambda exps: (sum(e * w for e, w in zip(exps, weights)),
                                tuple(-e for e in exps)))
     return out
@@ -483,7 +482,7 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
         raise ValueError(f"target and generator series need order >= {verify_order} "
                          "(solve window plus re-verification window)")
 
-    exps_list = _monomials_up_to_weight(gens, weight_bound)
+    exps_list = _monomials_up_to_weight([w for _, w, _ in gens], weight_bound)
     if q_order < len(exps_list) + 10:
         raise ValueError(f"q_order must be >= number of candidate monomials + 10 "
                          f"({len(exps_list)} + 10)")

@@ -9,17 +9,27 @@ The series:
 * ``eisenstein(k)``:  G_k = -B_k/(2*k!) + (1/(k-1)!) * sum_{m,n>=1} n^(k-1) q^(mn)
 * ``eisenstein_odd(k)``:  G^o_k = G_k(q) - G_k(q^2), equivalently the same
   double sum restricted to odd m (no constant term)
-* ``multiple_divisor_series(k_1,...,k_r)``:  nested double sum over
-  m_1 > ... > m_r > 0 and n_1,...,n_r > 0 of
+* ``multiple_divisor_series(k_1,...,k_r, odd=False)``:  nested double sum
+  over m_1 > ... > m_r > 0 (all odd if ``odd``) and n_1,...,n_r > 0 of
   prod_i n_i^(k_i - 1)/(k_i - 1)! * q^(m_1 n_1 + ... + m_r n_r)
 * ``macmahon_a(r)`` / ``macmahon_c(r)``: MacMahon's generalized sums of
   divisors, i.e. sum over m_1 > ... > m_r > 0 (all odd, for C) of
   prod_i q^(m_i)/(1 - q^(m_i))^2
 
-``macmahon_a(r)`` equals ``multiple_divisor_series((2,)*r)`` because
-q^m/(1-q^m)^2 = sum_{n>0} n q^(mn); both are computed and cross-asserted.
-``partition_oracle`` gives a third, series-free route to any single
-coefficient by exhaustive enumeration.
+Every nested sum comes from one dynamic programme over the part size m
+(:func:`_divisor_chain_rows`), which builds all tails g(k_j, ..., k_r) in
+one pass.  Since q^m/(1-q^m)^2 = sum_{n>0} n q^(mn), ``macmahon_a(r)`` is
+``multiple_divisor_series((2,)*r)`` and ``macmahon_c(r)`` its odd twin; for
+that index the tails are A_1, ..., A_r (C_1, ..., C_r), and the whole chain
+is checked against a divisor sieve and MacMahon's recurrence in the form of
+Andrews and Rose (J. reine angew. Math. 676, 2013):
+
+    (2k)(2k+1) A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1}
+    (2k)(2k-1) C_k = (2 C_1 + (k-1)^2) C_{k-1} - D C_{k-1}
+
+with D = q d/dq.  A disagreement raises :class:`RouteMismatchError`, which
+``python -O`` does not strip.  The enumeration oracles live in
+:mod:`macmahon.oracles`; ``partition_oracle`` is re-exported here.
 """
 
 from __future__ import annotations
@@ -30,7 +40,20 @@ from fractions import Fraction
 from math import comb, factorial
 from typing import Sequence
 
-from .series import Series
+from .oracles import partition_oracle  # noqa: F401  (re-exported)
+from .series import Series, _kronecker_ints
+
+
+class RouteMismatchError(ArithmeticError):
+    """Two independent routes to the same series disagree.
+
+    The message names both routes and the first coefficient that differs,
+    e.g. ``product-DP vs Andrews–Rose recurrence at k=5, n=37``.
+    """
+
+    def __init__(self, route_a: str, route_b: str, where: str):
+        super().__init__(f"{route_a} vs {route_b} at {where}")
+
 
 _BERNOULLI_CACHE = [Fraction(1)]
 _BERNOULLI_LOCK = threading.Lock()  # appends must not interleave
@@ -90,16 +113,17 @@ def _eisenstein_odd_direct(k: int, order: int) -> Series:
 def eisenstein_odd(k: int, order: int) -> Series:
     """Odd Eisenstein series G^o_k = G_k(q) - G_k(q^2); no constant term.
 
-    Computed both by the subtraction and by the direct odd-m double sum,
-    which must agree coefficientwise.
+    Computed both by the subtraction and by the direct odd-m double sum;
+    if they differ, :class:`RouteMismatchError` names the first coefficient.
     """
     g = eisenstein(k, order)
     sub = [g.coeffs[n] - (g.coeffs[n // 2] if n % 2 == 0 else 0) for n in range(order + 1)]
     # constant term cancels exactly
     sub[0] = Fraction(0)
-    by_subtraction = Series(sub)
     direct = _eisenstein_odd_direct(k, order)
-    assert by_subtraction == direct, f"odd Eisenstein routes disagree for k={k}"
+    for n, (a, b) in enumerate(zip(sub, direct.coeffs)):
+        if a != b:
+            raise RouteMismatchError("G_k(q) - G_k(q^2)", "odd-m double sum", f"k={k}, n={n}")
     return direct
 
 
@@ -140,151 +164,96 @@ def _as_parts(index) -> tuple:
     return Index(index).parts
 
 
-def _nested_divisor_coeffs(parts: tuple, order: int, odd_m: bool) -> list:
-    """Integer numerators of the nested sum, by bounded depth-first search.
+def _divisor_chain_rows(parts: tuple, order: int, odd: bool) -> list:
+    """Integer numerators of every tail of the nested sum, in one pass.
 
-    Enumerates every tuple m_1 > ... > m_r > 0 (odd if requested),
-    n_1, ..., n_r > 0 with sum m_i n_i <= order, accumulating the weight
-    prod n_i^(k_i - 1) at exponent sum m_i n_i.  Level i is entered with the
-    smallest row first, so parts are consumed in reverse.
+    ``rows[j]`` is the series of g(k_{r-j+1}, ..., k_r) times
+    prod (k_i - 1)!: the sum over m_{r-j+1} > ... > m_r > 0 (odd if asked)
+    and n_i > 0 of prod n_i^(k_i - 1) q^(sum m_i n_i); ``rows[0]`` is 1.
+    Part sizes are taken in increasing order.  Size m may fill slot j (the
+    j-th smallest size of a chain, exponent k_{r-j+1} - 1) by multiplying
+    ``rows[j-1]`` with sum_n n^(k_{r-j+1} - 1) q^(mn); going through the
+    slots downwards uses each size at most once per chain.
     """
     r = len(parts)
-    coeffs = [0] * (order + 1)
-    rev = parts[::-1]  # rev[i] is the exponent for the (i+1)-th smallest m
-    step = 2 if odd_m else 1
-
-    def recurse(level, m_floor, budget, weight, total):
-        # minimal extra cost if we place the remaining rows as tightly as possible
-        k = rev[level]
-        m = m_floor + step
-        remaining = r - level
-        while True:
-            min_cost = remaining * m + step * (remaining * (remaining - 1)) // 2
-            if min_cost > budget:
-                return
-            tail_min = min_cost - m  # rows above this one, at their cheapest
-            mn = m
-            n = 1
-            while mn + tail_min <= budget:
-                w = weight * (n ** (k - 1))
-                if level + 1 == r:
-                    coeffs[total + mn] += w
-                else:
-                    recurse(level + 1, m, budget - mn, w, total + mn)
-                n += 1
-                mn += m
-            m += step
-
-    recurse(0, 1 - step, order, 1, 0)
-    return coeffs
+    exps = (None,) + tuple(k - 1 for k in reversed(parts))
+    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(r)]
+    step = 2 if odd else 1
+    for i, m in enumerate(range(1, order + 1, step)):
+        # the first i sizes fill at most i slots, so slot i + 1 is the highest reachable
+        for j in range(min(r, i + 1), 0, -1):
+            prev, cur, e = rows[j - 1], rows[j], exps[j]
+            # prev starts at m = 1, 2, ..., j-1 (or 1, 3, ..., 2j-3), all n = 1
+            lo = (j - 1) ** 2 if odd else (j - 1) * j // 2
+            tail = prev[lo:]
+            for n in range(1, (order - lo) // m + 1):
+                s = lo + m * n
+                w = n**e
+                cur[s:] = [c + w * p for c, p in zip(cur[s:], tail)]
+    return rows
 
 
-def multiple_divisor_series(index, order: int) -> Series:
-    """The nested divisor-sum series g(k_1, ..., k_r) up to ``order``."""
+def _check_macmahon_chain(rows: list, odd: bool) -> None:
+    """Check rows A_1..A_r (or C_1..C_r) against a sieve and the recurrence.
+
+    ``rows[1]`` must be sigma_1 (for C: sigma_1(n) - sigma_1(n/2), the sum
+    of n/m over odd m | n).  Each later row must satisfy the Andrews–Rose
+    form of MacMahon's recurrence given in the module docstring, evaluated
+    in integers with one big-int product per row.  The first disagreement
+    raises :class:`RouteMismatchError`.
+    """
+    order = len(rows[0]) - 1
+    sig = divisor_power_sums(1, order)
+    sieve = [sig[n] - (sig[n // 2] if odd and n % 2 == 0 else 0) for n in range(order + 1)]
+    for n, (a, b) in enumerate(zip(rows[1], sieve)):
+        if a != b:
+            raise RouteMismatchError("product-DP", "divisor sieve", f"k=1, n={n}")
+    one = rows[1]
+    for k in range(2, len(rows)):
+        if odd:
+            lead, p_mul, shift, d_mul = 2 * k * (2 * k - 1), 2, (k - 1) ** 2, 1
+        else:
+            lead, p_mul, shift, d_mul = 2 * k * (2 * k + 1), 6, k * (k - 1), 2
+        prev = rows[k - 1]
+        prod = _kronecker_ints(one, prev)
+        for n in range(order + 1):
+            if lead * rows[k][n] != p_mul * prod[n] + (shift - d_mul * n) * prev[n]:
+                raise RouteMismatchError("product-DP", "Andrews–Rose recurrence", f"k={k}, n={n}")
+
+
+def multiple_divisor_series(index, order: int, odd: bool = False) -> Series:
+    """The nested divisor-sum series g(k_1, ..., k_r) up to ``order``.
+
+    With ``odd`` the part sizes m_1 > ... > m_r are all odd.  For the index
+    (2, ..., 2) the result and every shorter tail are checked by
+    :func:`_check_macmahon_chain`.
+    """
     parts = _as_parts(index)
     if order < 0:
         raise ValueError("order must be >= 0")
+    rows = _divisor_chain_rows(parts, order, odd)
+    if set(parts) == {2}:
+        _check_macmahon_chain(rows, odd)
     denom = 1
     for k in parts:
         denom *= factorial(k - 1)
-    nums = _nested_divisor_coeffs(parts, order, odd_m=False)
-    return Series([Fraction(c, denom) for c in nums])
+    return Series([Fraction(c, denom) for c in rows[-1]])
 
 
 def multiple_divisor_series_odd(index, order: int) -> Series:
     """Same nested sum restricted to odd m_1, ..., m_r."""
-    parts = _as_parts(index)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    denom = 1
-    for k in parts:
-        denom *= factorial(k - 1)
-    nums = _nested_divisor_coeffs(parts, order, odd_m=True)
-    return Series([Fraction(c, denom) for c in nums])
-
-
-def _macmahon_product_coeffs(r: int, order: int, odd_m: bool) -> list:
-    """Direct expansion of sum over m_1 > ... > m_r of prod q^(m_i)/(1-q^(m_i))^2.
-
-    Dynamic programming over the part size m: each size contributes the
-    factor q^m/(1-q^m)^2 = sum_{n>0} n q^(mn) at most once per chain slot.
-    """
-    rows = [[0] * (order + 1) for _ in range(r + 1)]
-    rows[0][0] = 1
-    start, step = (1, 2) if odd_m else (1, 1)
-    for m in range(start, order + 1, step):
-        for j in range(r, 0, -1):
-            prev, cur = rows[j - 1], rows[j]
-            for d0 in range(order - m + 1):
-                c = prev[d0]
-                if c:
-                    n = 1
-                    d = d0 + m
-                    while d <= order:
-                        cur[d] += c * n
-                        n += 1
-                        d += m
-    return rows[r]
+    return multiple_divisor_series(index, order, odd=True)
 
 
 def macmahon_a(r: int, order: int) -> Series:
-    """MacMahon's A_r: generalized sums of divisors over r distinct part sizes.
-
-    Computed from the product formula and cross-checked against the nested
-    divisor-sum enumeration of the same series.
-    """
+    """MacMahon's A_r: generalized sums of divisors over r distinct part sizes."""
     if r < 1:
         raise ValueError("need r >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    direct = Series([Fraction(c) for c in _macmahon_product_coeffs(r, order, odd_m=False)])
-    assert direct == multiple_divisor_series((2,) * r, order), f"A_{r} routes disagree"
-    return direct
+    return multiple_divisor_series((2,) * r, order)
 
 
 def macmahon_c(r: int, order: int) -> Series:
     """MacMahon's C_r: the odd-part-size variant of A_r."""
     if r < 1:
         raise ValueError("need r >= 1")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    direct = Series([Fraction(c) for c in _macmahon_product_coeffs(r, order, odd_m=True)])
-    assert direct == multiple_divisor_series_odd((2,) * r, order), f"C_{r} routes disagree"
-    return direct
-
-
-def partition_oracle(r: int, n: int, odd: bool = False) -> int:
-    """Coefficient of q^n in A_r (or C_r), with no series arithmetic at all.
-
-    Exhaustively enumerates solutions of m_1 n_1 + ... + m_r n_r = n with
-    m_1 > ... > m_r > 0 (odd m if requested) and n_i > 0, summing the
-    weights prod n_i.
-    """
-    if r < 1:
-        raise ValueError("need r >= 1")
-    if n < 0:
-        raise ValueError("need n >= 0")
-    step = 2 if odd else 1
-
-    def count(level, m_floor, remaining):
-        # level = rows still to place, ordered smallest m first
-        total = 0
-        m = m_floor + step
-        while True:
-            min_cost = level * m + step * (level * (level - 1)) // 2
-            if min_cost > remaining:
-                return total
-            tail_min = min_cost - m
-            mn = m
-            n_i = 1
-            while mn + tail_min <= remaining:
-                if level == 1:
-                    if mn == remaining:
-                        total += n_i
-                else:
-                    total += n_i * count(level - 1, m, remaining - mn)
-                n_i += 1
-                mn += m
-            m += step
-
-    return count(r, 1 - step, n)
+    return multiple_divisor_series((2,) * r, order, odd=True)

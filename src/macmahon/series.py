@@ -205,33 +205,41 @@ def _pack(nums, width: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
+def _kronecker_ints(a: list, b: list) -> list:
+    """Truncated product of two equally long lists of ints, as one int product.
+
+    Every product coefficient is a sum of at most ``len(a)`` products, so a
+    slot of bitlen(len * max|a| * max|b|) + 1 bits (the extra bit for the
+    sign), rounded up to whole bytes, holds it exactly.  The packed operands
+    are multiplied as plain ints; adding half a slot to each of the low
+    ``len(a)`` slots makes them all non-negative, so they are read off the
+    bytes of the product without carries.
+    """
+    size = len(a)
+    bound = size * max(map(abs, a)) * max(map(abs, b))
+    if not bound:
+        return [0] * size
+    width = (bound.bit_length() + 8) // 8
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * size)) - 1)
+    raw = low.to_bytes(width * size, "little")
+    return [int.from_bytes(raw[k:k + width], "little") - half
+            for k in range(0, width * size, width)]
+
+
 def _kronecker_product(a: tuple, b: tuple) -> tuple:
     """Truncated product of two equally long tuples of rationals.
 
-    Each operand becomes integer numerators over its lcm denominator.  Every
-    product coefficient is a sum of at most ``len(a)`` numerator products,
-    so a slot of bitlen(len * max|a| * max|b|) + 1 bits (the extra bit for
-    the sign), rounded up to whole bytes, holds it exactly.  The packed
-    operands are multiplied as plain ints; adding half a slot to each of the
-    low ``len(a)`` slots makes them all non-negative, so they are read off
-    the bytes of the product without carries.
+    Each operand becomes integer numerators over its lcm denominator, and
+    the numerators are multiplied by :func:`_kronecker_ints`.
     """
-    size = len(a)
     den_a = lcm(*(c.denominator for c in a))
     den_b = lcm(*(c.denominator for c in b))
     num_a = [c.numerator * (den_a // c.denominator) for c in a]
     num_b = [c.numerator * (den_b // c.denominator) for c in b]
-    bound = size * max(map(abs, num_a)) * max(map(abs, num_b))
-    if not bound:
-        return (Fraction(0),) * size
-    width = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    low = (_pack(num_a, width) * _pack(num_b, width) + bias) & ((1 << (8 * width * size)) - 1)
-    raw = low.to_bytes(width * size, "little")
     den = den_a * den_b
-    return tuple(Fraction(int.from_bytes(raw[k:k + width], "little") - half, den)
-                 for k in range(0, width * size, width))
+    return tuple(Fraction(c, den) for c in _kronecker_ints(num_a, num_b))
 
 
 class Series:

@@ -20,15 +20,8 @@ from macmahon.identities import (
     verify_main_c,
 )
 from macmahon.numerics import lipschitz_value, limit_check, monotangent, multitangent
-from macmahon.qseries import (
-    eisenstein,
-    eisenstein_odd,
-    macmahon_a,
-    macmahon_c,
-    multiple_divisor_series,
-    multiple_divisor_series_odd,
-    partition_oracle,
-)
+from macmahon.oracles import nested_divisor_series, partition_oracle
+from macmahon.qseries import eisenstein, eisenstein_odd, macmahon_a, macmahon_c
 from macmahon.quasishuffle import HARMONIC
 from macmahon.series import Series
 
@@ -57,9 +50,9 @@ def test_03_triple_oracle_agreement():
     first_bad = ""
     for r in range(1, 6):
         a = macmahon_a(r, 30)
-        ga = multiple_divisor_series((2,) * r, 30)
+        ga = nested_divisor_series((2,) * r, 30)
         c = macmahon_c(r, 30)
-        gc = multiple_divisor_series_odd((2,) * r, 30)
+        gc = nested_divisor_series((2,) * r, 30, odd=True)
         for n in range(31):
             if not (a[n] == ga[n] == partition_oracle(r, n)):
                 ok, first_bad = False, f"A r={r} n={n}"

@@ -3,7 +3,9 @@
 import json
 from fractions import Fraction
 
+from macmahon import cli
 from macmahon.cli import main
+from macmahon.qseries import RouteMismatchError
 
 
 def run(capsys, *argv):
@@ -190,6 +192,28 @@ class TestRobustness:
     def test_nonconvergence_is_exit_one(self, capsys):
         code, out, err = run(capsys, "numeric", "--check", "monotangent", "--k", "2",
                              "--tau", "0,0.000001")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_route_mismatch_is_exit_two(self, capsys, monkeypatch):
+        def mismatch(r, order):
+            raise RouteMismatchError("product-DP", "Andrews–Rose recurrence", "k=5, n=40")
+
+        monkeypatch.setattr(cli, "macmahon_a", mismatch)
+        code, out, err = run(capsys, "series", "--name", "A", "--r", "5", "--order", "40")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: product-DP vs Andrews–Rose recurrence at k=5")
+        assert "Traceback" not in err
+
+    def test_recursion_error_is_exit_one(self, capsys, monkeypatch):
+        def too_deep(k, order):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "eisenstein", too_deep)
+        code, out, err = run(capsys, "express", "--target", "A:2")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")

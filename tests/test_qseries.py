@@ -1,11 +1,20 @@
-"""Tests for the q-series constructors and the enumeration oracle."""
+"""Tests for the q-series constructors and the enumeration oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from math import factorial
+from pathlib import Path
 
 import pytest
 
+import macmahon
+from macmahon import qseries
+from macmahon.oracles import nested_divisor_series
 from macmahon.qseries import (
     Index,
+    RouteMismatchError,
     bernoulli,
     divisor_power_sums,
     eisenstein,
@@ -82,6 +91,17 @@ class TestEisensteinOdd:
                     sub = g[0] - g[0]
                 assert direct[n] == sub
 
+    def test_route_disagreement_raises(self, monkeypatch):
+        real = qseries._eisenstein_odd_direct
+
+        def corrupted(k, order):
+            s = real(k, order)
+            return s + Series([0] * 7 + [1] + [0] * (order - 7))
+
+        monkeypatch.setattr(qseries, "_eisenstein_odd_direct", corrupted)
+        with pytest.raises(RouteMismatchError, match="k=4, n=7"):
+            eisenstein_odd(4, 20)
+
 
 class TestMultipleDivisorSeries:
     def test_depth_one_is_a1(self):
@@ -112,6 +132,88 @@ class TestMultipleDivisorSeries:
         g3 = multiple_divisor_series(3, 20)
         for n in range(1, 21):
             assert g3[n] == F(sigma_brute(2, n), 2)
+
+
+#: Index/parity cases where the slot order and the exponents all matter.
+MIXED_INDICES = [(1,), (3,), (1, 1), (2, 2), (3, 2), (2, 3), (5, 1), (1, 4),
+                 (4, 1, 2), (2, 1, 3), (1, 2, 1), (2, 2, 2), (3, 1, 1, 2)]
+
+
+class TestDivisorDP:
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("index", MIXED_INDICES)
+    def test_matches_enumeration(self, index, odd):
+        assert multiple_divisor_series(index, 30, odd) == nested_divisor_series(index, 30, odd)
+
+    def test_odd_alias(self):
+        assert multiple_divisor_series_odd((3, 2), 25) == multiple_divisor_series((3, 2), 25, odd=True)
+
+    def test_rows_are_the_tails(self):
+        rows = qseries._divisor_chain_rows((4, 1, 2), 20, False)
+        for j, tail in enumerate([(2,), (1, 2), (4, 1, 2)], start=1):
+            scale = 1
+            for k in tail:
+                scale *= factorial(k - 1)
+            assert [F(c, scale) for c in rows[j]] == list(nested_divisor_series(tail, 20).coeffs)
+
+    def test_order_zero(self):
+        assert multiple_divisor_series((2, 2), 0) == Series([0])
+        assert multiple_divisor_series((3,), 0, odd=True) == Series([0])
+
+
+def recurrence_chain(r, order, odd):
+    """A_1..A_r (C_1..C_r) from a divisor sum and the Andrews-Rose recurrence only."""
+    sigma = [sigma_brute(1, n) for n in range(order + 1)]
+    first = Series([sigma[n] - (sigma[n // 2] if odd and n % 2 == 0 else 0)
+                    for n in range(order + 1)])
+    chain = [first]
+    for k in range(2, r + 1):
+        prev = chain[-1]
+        d_prev = Series([n * c for n, c in enumerate(prev.coeffs)])
+        if odd:
+            nxt = ((2 * first + (k - 1) ** 2) * prev - d_prev) * F(1, 2 * k * (2 * k - 1))
+        else:
+            nxt = ((6 * first + k * (k - 1)) * prev - 2 * d_prev) * F(1, 2 * k * (2 * k + 1))
+        chain.append(nxt)
+    return chain
+
+
+class TestChainCheck:
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_depth_12_order_200_pinned_to_recurrence(self, odd):
+        expected = recurrence_chain(12, 200, odd)[-1]
+        got = multiple_divisor_series((2,) * 12, 200, odd)
+        assert got == expected
+        low = 144 if odd else 78
+        assert got[low] == 1 and all(c == 0 for c in got.coeffs[:low])
+        assert all(c.denominator == 1 for c in got.coeffs)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("row", [1, 2, 4])
+    def test_corrupted_row_raises_under_optimize(self, row, odd):
+        # python -O strips asserts; the chain check must survive it
+        script = (
+            "import sys\n"
+            "from macmahon import qseries\n"
+            "real = qseries._divisor_chain_rows\n"
+            "def corrupted(*args):\n"
+            "    rows = real(*args)\n"
+            f"    rows[{row}][-1] += 1\n"
+            "    return rows\n"
+            "qseries._divisor_chain_rows = corrupted\n"
+            "assert False, 'asserts are live'\n"
+            "try:\n"
+            f"    qseries.multiple_divisor_series((2,) * 4, 30, odd={odd})\n"
+            "except qseries.RouteMismatchError as exc:\n"
+            "    print('caught', exc)\n"
+        )
+        src = str(Path(macmahon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        route = "divisor sieve at k=1" if row == 1 else "Andrews–Rose recurrence at k="
+        assert proc.stdout.startswith(f"caught product-DP vs {route}")
 
 
 class TestMacMahon:
@@ -163,14 +265,14 @@ class TestPartitionOracle:
     def test_three_routes_agree_small(self):
         for r in (1, 2, 3):
             a = macmahon_a(r, 15)
-            g = multiple_divisor_series((2,) * r, 15)
+            g = nested_divisor_series((2,) * r, 15)
             for n in range(16):
                 assert a[n] == g[n] == partition_oracle(r, n)
 
     def test_three_routes_agree_odd_small(self):
         for r in (1, 2, 3):
             c = macmahon_c(r, 15)
-            g = multiple_divisor_series_odd((2,) * r, 15)
+            g = nested_divisor_series((2,) * r, 15, odd=True)
             for n in range(16):
                 assert c[n] == g[n] == partition_oracle(r, n, odd=True)
 
