@@ -7,10 +7,10 @@ verify    run an identity verifier (or all five suites with --all)
 express   solve for a polynomial in (odd) Eisenstein series matching A_r/C_r
 numeric   floating-point checks: lattice sums, ratio tests, q -> 1 limits
 
-Exit codes: 0 success/verified, 1 usage or parameter error, 2 mathematical
-mismatch or infeasibility.  Exact payloads serialize rationals as strings
-like "3/640" or "7"; floats appear only in numeric reports.  Output goes to
-stdout, diagnostics to stderr.
+Exit codes: 0 success/verified, 1 usage or parameter error (including
+parameters whose floats overflow), 2 mathematical mismatch or infeasibility.
+Exact payloads serialize rationals as strings like "3/640" or "7"; floats
+appear only in numeric reports.  Output goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -432,6 +432,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (DivergenceError, NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ArithmeticError as exc:
+        # OverflowError, ZeroDivisionError: parameters beyond the float range
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

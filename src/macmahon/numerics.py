@@ -20,6 +20,12 @@ remainder are all reported alongside.
 a numeric q in (0, 1), which feeds the radius-of-convergence limit check
 
     (1-q)^(2r) A_r(q)  ->  pi^(2r)/(2r+1)!   as q -> 1.
+
+A_r and C_r are nested sums over part sizes m_1 > ... > m_r, summed by the
+same cumulative-sum idiom as the lattice sums: the sizes go in numpy
+chunks of fixed length, so the cost is O(terms * r) vectorised operations
+and the memory does not grow with the number of terms (up to millions
+near q = 1).
 """
 
 from __future__ import annotations
@@ -193,10 +199,11 @@ def eval_qseries_at(name: str, param: int, q: float, max_terms: int = 5_000_000,
                     rel_tol: float = 1e-15) -> SeriesValue:
     """Numeric value of A_r, C_r, G_k or Go_k at q in (0, 1), from the defining sums.
 
-    The divisor series are summed as their nested m-sums (cumulatively, so
-    depth r costs O(terms * r)); the Eisenstein series as their (m, n)
-    double sums.  No truncated coefficient lists are involved, so this is
-    usable arbitrarily close to q = 1, subject to the term cap.
+    The divisor series are summed as their nested m-sums (numpy cumulative
+    sums over chunks of part sizes, so depth r costs O(terms * r)); the
+    Eisenstein series as their (m, n) double sums.  No truncated
+    coefficient lists are involved, so this is usable arbitrarily close to
+    q = 1, subject to the term cap.
     """
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1")
@@ -213,6 +220,11 @@ def eval_qseries_at(name: str, param: int, q: float, max_terms: int = 5_000_000,
     raise ValueError(f"unknown series name {name!r}")
 
 
+# part sizes per numpy chunk in _eval_macmahon: keeps memory independent of
+# the term count, which can reach max_terms
+_CHUNK = 1 << 16
+
+
 def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float):
     # the tail over m > M of q^m/(1-q^m)^2 is below q^(M+1)/(1-q)^3, so pick
     # M with q^M < rel_tol * (1-q)^3, plus a few digits of slack
@@ -222,16 +234,26 @@ def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float):
     m_top = min(m_top, max_terms)
     if odd and m_top % 2 == 0:
         m_top = max(1, m_top - 1)
+    # sums[i] is the sum of prod f(m_j) over m_1 > ... > m_i among the sizes
+    # seen so far.  Sizes go downwards in chunks; within a chunk, level i is
+    # the cumulative sum of f times level i-1 as it stood before each size
+    # (the ordered-sum idiom of _tangent_engine)
     sums = [0.0] * (r + 1)
-    sums[0] = 1.0
     step = 2 if odd else 1
     terms = 0
-    for m in range(m_top, 0, -step):
-        qm = q**m
+    for hi in range(m_top, 0, -step * _CHUNK):
+        qm = q ** np.arange(hi, max(hi - step * _CHUNK, 0), -step, dtype=np.float64)
         f = qm / (1 - qm) ** 2
-        for i in range(r, 0, -1):
-            sums[i] += f * sums[i - 1]
-        terms += 1
+        before = np.ones_like(f)  # level 0 is 1 before every size
+        for i in range(1, r + 1):
+            w = f * before
+            w[0] += sums[i]  # seeding the first element keeps the additions sequential
+            csum = np.cumsum(w)
+            before = np.empty_like(csum)
+            before[0] = sums[i]
+            before[1:] = csum[:-1]
+            sums[i] = float(csum[-1])
+        terms += len(f)
     value = sums[r]
     if capped:
         nxt = q ** (m_top + 1) / (1 - q) ** 2

@@ -221,6 +221,21 @@ def _check_macmahon_chain(rows: list, odd: bool) -> None:
                 raise RouteMismatchError("product-DP", "Andrews–Rose recurrence", f"k={k}, n={n}")
 
 
+def _checked_rows(parts: tuple, order: int, odd: bool) -> list:
+    """:func:`_divisor_chain_rows`, checked by :func:`_check_macmahon_chain` for (2, ..., 2)."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    rows = _divisor_chain_rows(parts, order, odd)
+    if set(parts) == {2}:
+        _check_macmahon_chain(rows, odd)
+    return rows
+
+
+def _macmahon_chain(r: int, order: int, odd: bool) -> list:
+    """[A_1, ..., A_r] (with ``odd``, [C_1, ..., C_r]) from one DP pass and one check."""
+    return [Series([Fraction(c) for c in row]) for row in _checked_rows((2,) * r, order, odd)[1:]]
+
+
 def multiple_divisor_series(index, order: int, odd: bool = False) -> Series:
     """The nested divisor-sum series g(k_1, ..., k_r) up to ``order``.
 
@@ -229,11 +244,7 @@ def multiple_divisor_series(index, order: int, odd: bool = False) -> Series:
     :func:`_check_macmahon_chain`.
     """
     parts = _as_parts(index)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    rows = _divisor_chain_rows(parts, order, odd)
-    if set(parts) == {2}:
-        _check_macmahon_chain(rows, odd)
+    rows = _checked_rows(parts, order, odd)
     denom = 1
     for k in parts:
         denom *= factorial(k - 1)

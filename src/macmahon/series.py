@@ -20,8 +20,9 @@ Costs, for order n and coefficient products counted as one step each:
 * ``a * b`` between two series over :data:`RATIONALS` is one big-integer
   product by Kronecker substitution (the numerators over a common
   denominator are packed into one int each), so the convolution runs in
-  CPython's Karatsuba multiply; other rings use the O(n^2) schoolbook
-  convolution.
+  CPython's Karatsuba multiply.  Over :data:`LAMBDAS` it is one such
+  product per pair of L-exponents present in the operands.  The other
+  rings use the O(n^2) schoolbook convolution.
 * :meth:`Series.exp` uses the recurrence for b' = a'b: O(n^2) coefficient
   products.
 * :meth:`Series.compose` builds the n powers of the inner series (n series
@@ -242,6 +243,38 @@ def _kronecker_product(a: tuple, b: tuple) -> tuple:
     return tuple(Fraction(c, den) for c in _kronecker_ints(num_a, num_b))
 
 
+def _split_by_exponent(coeffs: tuple) -> dict:
+    """{e: the rational coefficients of L^e} of a tuple of L-polynomials.
+
+    A bare rational coefficient counts as its own L^0 part; missing terms
+    are zero.
+    """
+    zero = Fraction(0)
+    rows = {}
+    for k, c in enumerate(coeffs):
+        for e, v in (c.coeffs.items() if isinstance(c, LambdaPoly) else ((0, c),)):
+            if v:
+                rows.setdefault(e, [zero] * len(coeffs))[k] = v
+    return rows
+
+
+def _lambda_product(a: tuple, b: tuple) -> tuple:
+    """Truncated product of two equally long tuples of L-polynomials.
+
+    Every pair of L-exponents (e1, e2) contributes the rational product of
+    their coefficient rows, by :func:`_kronecker_product`, to exponent
+    e1 + e2.
+    """
+    rows_b = _split_by_exponent(b).items()
+    out = {}
+    for e1, row_a in _split_by_exponent(a).items():
+        for e2, row_b in rows_b:
+            prod = _kronecker_product(row_a, row_b)
+            e = e1 + e2
+            out[e] = prod if e not in out else [x + y for x, y in zip(out[e], prod)]
+    return tuple(LambdaPoly({e: row[k] for e, row in out.items()}) for k in range(len(a)))
+
+
 class Series:
     """A truncated power series: ``coeffs[i]`` is the coefficient of x^i.
 
@@ -324,14 +357,20 @@ class Series:
 
         Two series over :data:`RATIONALS` multiply by Kronecker substitution
         (:func:`_kronecker_product`): one big-integer product plus O(n)
-        packing and n + 1 fraction reductions.  Every other ring uses the
-        schoolbook convolution, (n + 1)(n + 2)/2 coefficient products.
+        packing and n + 1 fraction reductions.  Two series over
+        :data:`LAMBDAS` are split by L-exponent into rational rows and
+        multiply as one Kronecker product per pair of exponents
+        (:func:`_lambda_product`).  The other rings (generator polynomials,
+        quasi-shuffle words, nested series) use the schoolbook convolution,
+        (n + 1)(n + 2)/2 coefficient products.
         """
         if self._is_peer(other):
             n = min(self.order, other.order)
             a, b = self.coeffs, other.coeffs
             if self.ring is RATIONALS and other.ring is RATIONALS:
                 return Series(_kronecker_product(a[: n + 1], b[: n + 1]))
+            if self.ring is LAMBDAS and other.ring is LAMBDAS:
+                return Series(_lambda_product(a[: n + 1], b[: n + 1]), LAMBDAS)
             out = []
             for k in range(n + 1):
                 acc = a[0] * b[k]

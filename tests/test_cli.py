@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from macmahon import cli
 from macmahon.cli import main
 from macmahon.qseries import RouteMismatchError
@@ -164,6 +166,15 @@ class TestNumericCommand:
         payload = json.loads(out)["payload"]
         assert payload["rel_error"] <= 1e-3
 
+    def test_limit_near_q_one(self, capsys):
+        # the nearest point, q = 1 - 2^-20, walks the 5M-term cap
+        code, out, _ = run(capsys, "numeric", "--check", "limit", "--r", "2",
+                           "--grid-k", "4..20", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        assert len(payload["grid"]) == 17
+        assert payload["rel_error"] <= 1e-6
+
     def test_limit_bad_grid(self, capsys):
         assert run(capsys, "numeric", "--check", "limit", "--r", "1",
                    "--grid-k", "10..4")[0] == 1
@@ -218,3 +229,26 @@ class TestRobustness:
         assert out == ""
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--check", "limit", "--r", "200", "--grid-k", "4..5"),
+        ("--check", "monotangent", "--k", "400", "--tau", "0,1"),
+        ("--check", "multitangent", "--ks", "2,2", "--tau", "0,1e-300"),
+    ])
+    @pytest.mark.filterwarnings("ignore:.*encountered in power:RuntimeWarning")
+    def test_float_overflow_is_exit_one(self, capsys, argv):
+        code, out, err = run(capsys, "numeric", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1].startswith("error: OverflowError: ")
+        assert "Traceback" not in err
+
+    def test_zero_division_is_exit_one(self, capsys, monkeypatch):
+        def divide(*args):
+            return 1 / 0
+
+        monkeypatch.setattr(cli, "limit_check", divide)
+        code, out, err = run(capsys, "numeric", "--check", "limit", "--r", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ZeroDivisionError: ")

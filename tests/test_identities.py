@@ -22,6 +22,7 @@ from macmahon.identities import (
     verify_main_c,
     zeta_two_power,
 )
+from macmahon import qseries
 from macmahon.qseries import bernoulli, eisenstein, eisenstein_odd, macmahon_a, macmahon_c, \
     multiple_divisor_series
 from macmahon.series import (
@@ -120,6 +121,45 @@ class TestMainIdentities:
             assert rhs[2 * r] == expected
         for odd_exp in range(1, x_order + 1, 2):
             assert rhs[odd_exp] == inner.zero
+
+
+class TestOneChainPerWindow:
+    """verify_main_* build A_1..A_r (C_1..C_r) in one DP pass with one check."""
+
+    @pytest.fixture
+    def dp_calls(self, monkeypatch):
+        calls = []
+        rows = qseries._divisor_chain_rows
+
+        def counted(parts, order, odd):
+            calls.append((parts, order, odd))
+            return rows(parts, order, odd)
+
+        monkeypatch.setattr(qseries, "_divisor_chain_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("verify, odd", [(verify_main_a, False), (verify_main_c, True)])
+    def test_one_dp_pass(self, dp_calls, verify, odd):
+        assert verify(30, 16).ok
+        assert dp_calls == [((2,) * 8, 30, odd)]
+
+    @pytest.mark.parametrize("verify", [verify_main_a, verify_main_c])
+    def test_verdicts_unchanged(self, verify):
+        for q, x in ((3, 2), (8, 6), (20, 10), (40, 20)):
+            report = verify(q, x)
+            assert report.status == "verified"
+            assert report.params == {"q_order": q, "x_order": x}
+
+    def test_rows_are_the_single_series(self):
+        for r in (1, 2, 5):
+            assert qseries._macmahon_chain(r, 25, odd=False) == \
+                [macmahon_a(k, 25) for k in range(1, r + 1)]
+            assert qseries._macmahon_chain(r, 25, odd=True) == \
+                [macmahon_c(k, 25) for k in range(1, r + 1)]
+
+    def test_geng22_one_dp_pass(self, dp_calls):
+        assert verify_geng22(9, 12).ok
+        assert dp_calls == [((2,) * 4, 12, False)]
 
 
 class TestFastRhsAgainstLiftedRoute:
@@ -308,6 +348,10 @@ class TestGeng22:
     def test_verified(self):
         report = verify_geng22(9, 10)
         assert report.ok
+
+    def test_bigger_window(self):
+        # products over L-polynomials are Kronecker products: about 0.2 s
+        assert verify_geng22(15, 30).status == "verified"
 
     def test_depth_one_fourier_expansion(self):
         # the T^3 coefficient identity: zeta(2) + L*g(2) = L*G_2(q)

@@ -1,12 +1,15 @@
 """Tests for the floating-point lattice sums and limit checks."""
 
 import math
+import tracemalloc
 
 import pytest
 
+from macmahon import numerics
 from macmahon.numerics import (
     DivergenceError,
     NonConvergenceError,
+    _eval_macmahon,
     eval_qseries_at,
     limit_check,
     lipschitz_value,
@@ -155,6 +158,76 @@ class TestEvalAt:
             eval_qseries_at("G", 3, 0.5)
         with pytest.raises(ValueError):
             eval_qseries_at("B", 1, 0.5)
+
+
+def scalar_eval_macmahon(r, q, odd, max_terms, rel_tol):
+    """The per-size Python loop over m_1 > ... > m_r: (value, terms, converged)."""
+    need = math.log(rel_tol) + 3 * math.log1p(-q) - 6.0
+    m_top = max(1, int(need / math.log(q)) + 1)
+    capped = m_top > max_terms
+    m_top = min(m_top, max_terms)
+    if odd and m_top % 2 == 0:
+        m_top = max(1, m_top - 1)
+    sums = [1.0] + [0.0] * r
+    terms = 0
+    for m in range(m_top, 0, -2 if odd else -1):
+        f = q**m / (1 - q**m) ** 2
+        for i in range(r, 0, -1):
+            sums[i] += f * sums[i - 1]
+        terms += 1
+    return sums[r], terms, not capped
+
+
+class TestEvalMacmahonChunked:
+    """The chunked cumulative sums against the scalar loop written here."""
+
+    @staticmethod
+    def check(r, q, odd, max_terms=5_000_000):
+        got = _eval_macmahon(r, q, odd, max_terms, 1e-15)
+        value, terms, converged = scalar_eval_macmahon(r, q, odd, max_terms, 1e-15)
+        # numpy's power and libm's pow differ in the last ulp of some q^m
+        assert abs(got.value - value) <= 1e-12 * value
+        assert (got.terms, got.converged) == (terms, converged)
+        return terms
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_grid_against_scalar_loop(self, r, odd):
+        # k = 11, 12 walk 1.3e5 and 2.7e5 sizes, across chunk boundaries
+        for k in range(1, 13):
+            self.check(r, 1 - 2.0**-k, odd)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_term_count_an_exact_multiple_of_the_chunk(self, odd):
+        # the cap at 4 chunks of sizes is 4 (even) or 2 (odd) whole chunks
+        terms = self.check(2, 1 - 2.0**-12, odd, max_terms=4 * numerics._CHUNK)
+        assert terms % numerics._CHUNK == 0
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_small_chunks(self, odd, monkeypatch):
+        q = 1 - 2.0**-6
+        terms = scalar_eval_macmahon(3, q, odd, 5_000_000, 1e-15)[1]
+        for chunk in (1, 2, 7, terms - 1, terms, terms + 1, terms // 3, 2 * terms):
+            monkeypatch.setattr(numerics, "_CHUNK", chunk)
+            self.check(3, q, odd)
+
+    def test_capped_path_still_raises(self):
+        with pytest.raises(NonConvergenceError, match="term cap 1000"):
+            _eval_macmahon(2, 1 - 2.0**-10, False, 1000, 1e-15)
+        # capped but with a negligible next term: a value, marked unconverged
+        assert self.check(1, 1 - 2.0**-8, True, max_terms=10_000) == 5000
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # q = 1 - 2^-20 walks the whole 5M-term cap; one float64 array of
+        # every term would be 40 MB
+        tracemalloc.start()
+        try:
+            value = eval_qseries_at("A", 2, 1 - 2.0**-20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (value.terms, value.converged) == (5_000_000, False)
+        assert peak < 16 * 2**20
 
 
 class TestRichardson:

@@ -339,6 +339,72 @@ class TestKroneckerProduct:
         assert (g2 ** 3).coeffs == schoolbook(schoolbook(g2.coeffs, g2.coeffs), g2.coeffs)
 
 
+class TestLambdaProduct:
+    """Products over L-polynomials against the schoolbook convolution written here."""
+
+    @staticmethod
+    def rand_poly(rng):
+        terms = {}
+        for e in rng.sample(range(7), rng.randint(0, 4)):  # 0 exponents: the empty poly
+            kind = rng.random()
+            if kind < 0.15:
+                terms[e] = F(0)
+            elif kind < 0.25:
+                terms[e] = F(rng.randint(-2**300, 2**300), rng.randint(1, 2**40))
+            else:
+                terms[e] = F(rng.randint(-40, 40), rng.randint(1, 720))
+        return LambdaPoly(terms)
+
+    @staticmethod
+    def check(a, b):
+        prod = Series(a, LAMBDAS) * Series(b, LAMBDAS)
+        expected = schoolbook(a, b)
+        assert prod.ring is LAMBDAS
+        assert all(type(c) is LambdaPoly for c in prod.coeffs)
+        assert prod.coeffs == expected
+        assert [str(c) for c in prod.coeffs] == [str(c) for c in expected]
+
+    def test_random_mixed_degrees(self):
+        rng = random.Random(20261018)
+        for _ in range(120):
+            a = [self.rand_poly(rng) for _ in range(rng.randint(1, 25))]
+            b = [self.rand_poly(rng) for _ in range(rng.randint(1, 25))]
+            self.check(a, b)
+
+    def test_zero_and_empty_coefficients(self):
+        empty = LambdaPoly()
+        f = [LambdaPoly({0: F(1, 3), 2: -1}), empty, LambdaPoly({5: F(7, 2)}), empty]
+        self.check([empty] * 4, f)
+        self.check(f, [empty] * 4)
+        self.check([empty, empty, LambdaPoly({1: 2}), empty], f)
+        # terms that cancel across exponent pairs leave no zero entries behind
+        x = [LambdaPoly({0: 1, 1: 1}), LambdaPoly({0: 1, 1: -1})]
+        prod = Series(x, LAMBDAS) * Series([LambdaPoly({0: 1, 1: -1}), LambdaPoly()], LAMBDAS)
+        assert prod.coeffs[0].coeffs == {0: F(1), 2: F(-1)}
+        assert prod.coeffs[1].coeffs == {0: F(1), 1: F(-2), 2: F(1)}
+
+    def test_order_zero_and_unequal_orders(self):
+        self.check([LambdaPoly({1: F(-2, 3), 3: 5})], [LambdaPoly({0: F(9, 4)})])
+        a = [LambdaPoly({e: F(e + 1, 2 + i) for e in range(i % 4)}) for i in range(9)]
+        b = [LambdaPoly({2: F(-1, 3)}), LambdaPoly({0: 1, 4: F(2, 5)}), LambdaPoly({1: 7})]
+        assert (Series(a, LAMBDAS) * Series(b, LAMBDAS)).order == 2
+        self.check(a, b)
+        self.check(b, a)
+
+    def test_bare_rational_coefficients(self):
+        # ints are embedded as L^0 polys; a Fraction stays as it is given
+        a = Series([F(1, 2), LambdaPoly({1: 3}), 4], LAMBDAS)
+        b = Series([LambdaPoly({2: F(-1, 5)}), F(0), F(-3, 7)], LAMBDAS)
+        assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs)
+
+    def test_lifted_q_series(self):
+        lift = lambda f, e: f.map_coefficients(lambda c: LambdaPoly({e: c}), LAMBDAS)  # noqa: E731
+        g2, g4 = lift(eisenstein(2, 30), 1), lift(eisenstein(4, 30), 2)
+        mixed = g2 + g4 + Series.constant(LambdaPoly({0: F(1, 6)}), 30, LAMBDAS)
+        self.check(mixed.coeffs, mixed.coeffs)
+        self.check(g2.coeffs, g4.coeffs)
+
+
 class TestExpRecurrence:
     """The recurrence exp against sum f^n/n! in every ring it serves."""
 
