@@ -434,7 +434,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:
-        # OverflowError, ZeroDivisionError: parameters beyond the float range
+        # OverflowError, ZeroDivisionError, numpy's FloatingPointError: parameters
+        # beyond the float range
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -26,6 +26,10 @@ same cumulative-sum idiom as the lattice sums: the sizes go in numpy
 chunks of fixed length, so the cost is O(terms * r) vectorised operations
 and the memory does not grow with the number of terms (up to millions
 near q = 1).
+
+numpy is imported by the two functions that use it, on their first call,
+so the exact layers and the CLI commands that need no numerics do not pay
+its import time and memory.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 
 class DivergenceError(ValueError):
@@ -89,25 +91,30 @@ def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int, corrected: boo
 
     With ``corrected`` the two dominant boundary channels are restored at
     each depth: the upper seed of the innermost level and, at every level,
-    the lower tail weighted by the full lower-depth value.
+    the lower tail weighted by the full lower-depth value.  A float
+    overflow, division by zero or invalid value in the arrays raises
+    ``FloatingPointError`` instead of warning and going on with inf or nan.
     """
-    ns = np.arange(cutoff, -cutoff - 1, -1, dtype=np.float64)
-    psi = 1.0 + 0j
-    level_sum = None
-    for i, k in enumerate(ks):
-        v = (tau + ns) ** (-k)
-        if i == 0:
-            seed = _em_tail(k, tau, cutoff + 1, +1) if corrected else 0.0
-            w = v
-        else:
-            seed = 0.0  # O(cutoff^-(k_i + k_{i-1} - 1)); folded into neglected_bound
-            w = v * level_sum
-        csum = seed + np.cumsum(w)
-        lower = _em_tail(k, tau, cutoff + 1, -1) * psi if corrected else 0.0
-        psi = complex(csum[-1]) + lower
-        level_sum = np.empty_like(csum)
-        level_sum[0] = seed
-        level_sum[1:] = csum[:-1]
+    import numpy as np
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        ns = np.arange(cutoff, -cutoff - 1, -1, dtype=np.float64)
+        psi = 1.0 + 0j
+        level_sum = None
+        for i, k in enumerate(ks):
+            v = (tau + ns) ** (-k)
+            if i == 0:
+                seed = _em_tail(k, tau, cutoff + 1, +1) if corrected else 0.0
+                w = v
+            else:
+                seed = 0.0  # O(cutoff^-(k_i + k_{i-1} - 1)); folded into neglected_bound
+                w = v * level_sum
+            csum = seed + np.cumsum(w)
+            lower = _em_tail(k, tau, cutoff + 1, -1) * psi if corrected else 0.0
+            psi = complex(csum[-1]) + lower
+            level_sum = np.empty_like(csum)
+            level_sum[0] = seed
+            level_sum[1:] = csum[:-1]
     return psi
 
 
@@ -226,6 +233,8 @@ _CHUNK = 1 << 16
 
 
 def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float):
+    import numpy as np
+
     # the tail over m > M of q^m/(1-q^m)^2 is below q^(M+1)/(1-q)^3, so pick
     # M with q^M < rel_tol * (1-q)^3, plus a few digits of slack
     need = math.log(rel_tol) + 3 * math.log1p(-q) - 6.0

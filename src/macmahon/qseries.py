@@ -1,8 +1,8 @@
 """Constructors for the divisor-sum q-series.
 
-Everything here is exact: coefficients are `Fraction`s and every series is a
-:class:`~macmahon.series.Series` over the rationals, truncated at a caller
-supplied order.
+Everything here is exact: every series is a :class:`~macmahon.series.Series`
+over the rationals, truncated at a caller supplied order, and is built
+straight from integer numerators over one denominator.
 
 The series:
 
@@ -37,7 +37,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 from typing import Sequence
 
 from .oracles import partition_oracle  # noqa: F401  (re-exported)
@@ -95,9 +95,12 @@ def eisenstein(k: int, order: int) -> Series:
         raise ValueError("order must be >= 0")
     sig = divisor_power_sums(k - 1, order)
     fk = factorial(k - 1)
-    coeffs = [Fraction(-bernoulli(k), 2 * factorial(k))]
-    coeffs += [Fraction(sig[n], fk) for n in range(1, order + 1)]
-    return Series(coeffs)
+    const = -bernoulli(k) / (2 * factorial(k))
+    den = lcm(const.denominator, fk)
+    scale = den // fk
+    nums = [s * scale for s in sig]
+    nums[0] = const.numerator * (den // const.denominator)
+    return Series._from_ints(nums, den)
 
 
 def _eisenstein_odd_direct(k: int, order: int) -> Series:
@@ -106,23 +109,23 @@ def _eisenstein_odd_direct(k: int, order: int) -> Series:
     for m in range(1, order + 1, 2):
         for n in range(1, order // m + 1):
             out[m * n] += n ** (k - 1)
-    fk = factorial(k - 1)
-    return Series([Fraction(c, fk) for c in out])
+    return Series._from_ints(out, factorial(k - 1))
 
 
 def eisenstein_odd(k: int, order: int) -> Series:
     """Odd Eisenstein series G^o_k = G_k(q) - G_k(q^2); no constant term.
 
-    Computed both by the subtraction and by the direct odd-m double sum;
-    if they differ, :class:`RouteMismatchError` names the first coefficient.
+    Computed both by the subtraction and by the direct odd-m double sum, on
+    integer numerators; if they differ, :class:`RouteMismatchError` names
+    the first coefficient.
     """
     g = eisenstein(k, order)
-    sub = [g.coeffs[n] - (g.coeffs[n // 2] if n % 2 == 0 else 0) for n in range(order + 1)]
-    # constant term cancels exactly
-    sub[0] = Fraction(0)
+    nums = g._nums
+    # numerators over g's denominator; the constant term cancels exactly (n = 0)
+    sub = [c - (nums[n // 2] if n % 2 == 0 else 0) for n, c in enumerate(nums)]
     direct = _eisenstein_odd_direct(k, order)
-    for n, (a, b) in enumerate(zip(sub, direct.coeffs)):
-        if a != b:
+    for n, (a, b) in enumerate(zip(sub, direct._nums)):
+        if a * direct._den != b * g._den:
             raise RouteMismatchError("G_k(q) - G_k(q^2)", "odd-m double sum", f"k={k}, n={n}")
     return direct
 
@@ -233,7 +236,7 @@ def _checked_rows(parts: tuple, order: int, odd: bool) -> list:
 
 def _macmahon_chain(r: int, order: int, odd: bool) -> list:
     """[A_1, ..., A_r] (with ``odd``, [C_1, ..., C_r]) from one DP pass and one check."""
-    return [Series([Fraction(c) for c in row]) for row in _checked_rows((2,) * r, order, odd)[1:]]
+    return [Series._from_ints(row) for row in _checked_rows((2,) * r, order, odd)[1:]]
 
 
 def multiple_divisor_series(index, order: int, odd: bool = False) -> Series:
@@ -248,7 +251,7 @@ def multiple_divisor_series(index, order: int, odd: bool = False) -> Series:
     denom = 1
     for k in parts:
         denom *= factorial(k - 1)
-    return Series([Fraction(c, denom) for c in rows[-1]])
+    return Series._from_ints(rows[-1], denom)
 
 
 def multiple_divisor_series_odd(index, order: int) -> Series:

@@ -15,14 +15,24 @@ order is the minimum of the operands' orders, i.e. exactly the range of
 coefficients both inputs determine.  All values are immutable after
 construction and every operation is a pure function.
 
+A series over :data:`RATIONALS` is stored as integer numerators over one
+positive common denominator, reduced so that the gcd of the denominator and
+all numerators is 1 (a zero series has denominator 1).  The form is unique,
+so ``==`` compares integers.  :attr:`Series.coeffs` builds the `Fraction`
+tuple on first read and keeps it.  Sums, negation, scalar products and
+quotients by an int or `Fraction`, and peer products work on the integers
+and reduce once per result with one gcd pass, never once per coefficient.
+
 Costs, for order n and coefficient products counted as one step each:
 
 * ``a * b`` between two series over :data:`RATIONALS` is one big-integer
-  product by Kronecker substitution (the numerators over a common
-  denominator are packed into one int each), so the convolution runs in
-  CPython's Karatsuba multiply.  Over :data:`LAMBDAS` it is one such
-  product per pair of L-exponents present in the operands.  The other
-  rings use the O(n^2) schoolbook convolution.
+  product of the packed numerators by Kronecker substitution, so the
+  convolution runs in CPython's Karatsuba multiply; the denominators
+  multiply.  Over :data:`LAMBDAS` it is one such product per pair of
+  L-exponents present in the operands.  The other rings use the O(n^2)
+  schoolbook convolution.
+* ``a + b`` and scalar products of a series over :data:`RATIONALS` take
+  O(n) integer operations plus the gcd pass.
 * :meth:`Series.exp` uses the recurrence for b' = a'b: O(n^2) coefficient
   products.
 * :meth:`Series.compose` builds the n powers of the inner series (n series
@@ -34,7 +44,7 @@ Costs, for order n and coefficient products counted as one step each:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable
 
 
@@ -280,25 +290,60 @@ class Series:
 
     ``order`` is the highest retained power; higher coefficients are
     unknown, not zero.  Coefficients live in ``ring``; integers passed as
-    coefficients are embedded via ``ring.one``.
+    coefficients are embedded via ``ring.one``.  Over :data:`RATIONALS` the
+    coefficients are held as integer numerators over one denominator (see
+    the module docstring); ``coeffs`` still reads as `Fraction`s.
 
     >>> x = Series([0, 1, 0, 0])
     >>> ((1 + x) * (1 - x)).coeffs
     (Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1))
     """
 
-    __slots__ = ("ring", "coeffs", "_series_depth")
+    # over RATIONALS: _nums and _den hold the series, _coeffs is None until
+    # read; over any other ring: _coeffs holds it and _nums, _den are None
+    __slots__ = ("ring", "_coeffs", "_nums", "_den", "_series_depth")
 
     def __init__(self, coeffs, ring: CoeffRing = RATIONALS):
-        coeffs = tuple(
-            ring.one * c if isinstance(c, int) else _reject_float(c)
-            for c in coeffs
-        )
+        coeffs = tuple(coeffs)
+        if ring is RATIONALS and all(isinstance(c, (int, Fraction)) for c in coeffs):
+            den = lcm(*(c.denominator for c in coeffs))
+            # over the lcm of reduced denominators the numerators share no factor with it
+            self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+            self._den = den
+            self._coeffs = None
+        else:
+            coeffs = tuple(ring.one * c if isinstance(c, int) else _reject_float(c)
+                           for c in coeffs)
+            self._nums = self._den = None
+            self._coeffs = coeffs
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         self.ring = ring
-        self.coeffs = coeffs
         self._series_depth = 1 + _depth(coeffs[0])
+
+    @classmethod
+    def _from_ints(cls, nums, den: int = 1) -> "Series":
+        """The series over :data:`RATIONALS` with coefficients nums[i] / den, reduced."""
+        g = gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self = object.__new__(cls)
+        self.ring = RATIONALS
+        self._nums = tuple(nums)
+        self._den = den
+        self._coeffs = None
+        self._series_depth = 1
+        return self
+
+    @property
+    def coeffs(self) -> tuple:
+        if self._coeffs is None:
+            den = self._den
+            self._coeffs = tuple(Fraction(c, den) for c in self._nums)
+        return self._coeffs
 
     @classmethod
     def constant(cls, value, order: int, ring: CoeffRing = RATIONALS) -> "Series":
@@ -308,15 +353,16 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._coeffs if self._nums is None else self._nums) - 1
 
     def __getitem__(self, i: int):
-        if not 0 <= i <= self.order:
+        coeffs = self.coeffs
+        if not 0 <= i < len(coeffs):
             raise IndexError(f"coefficient {i} outside truncation order {self.order}")
-        return self.coeffs[i]
+        return coeffs[i]
 
     def __len__(self):
-        return len(self.coeffs)
+        return self.order + 1
 
     def _zero_like(self, order=None):
         return Series.constant(self.ring.zero, self.order if order is None else order, self.ring)
@@ -327,10 +373,27 @@ class Series:
     def _is_peer(self, other) -> bool:
         return isinstance(other, Series) and other._series_depth == self._series_depth
 
+    def _select(self, pick) -> "Series":
+        """The series with coefficients pick(coefficients, zero).
+
+        ``pick`` may only drop, reorder or repeat coefficients and insert
+        ``zero``, so a rational series is picked on its numerators.
+        """
+        if self._nums is not None:
+            return Series._from_ints(pick(self._nums, 0), self._den)
+        return Series(pick(self._coeffs, self.ring.zero), self.ring)
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if self._is_peer(other):
+            if self._nums is not None and other._nums is not None:
+                da, db = self._den, other._den
+                g = gcd(da, db)
+                ma, mb = db // g, da // g
+                # zip stops at the shorter operand: the smaller order
+                return Series._from_ints(
+                    [a * ma + b * mb for a, b in zip(self._nums, other._nums)], da * ma)
             n = min(self.order, other.order)
             return Series(
                 tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
@@ -344,7 +407,9 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(tuple(-c for c in self.coeffs), self.ring)
+        if self._nums is not None:
+            return Series._from_ints([-c for c in self._nums], self._den)
+        return Series(tuple(-c for c in self._coeffs), self.ring)
 
     def __sub__(self, other):
         return self + (-other)
@@ -355,20 +420,23 @@ class Series:
     def __mul__(self, other):
         """Product truncated at the smaller order; a non-peer operand acts as a scalar.
 
-        Two series over :data:`RATIONALS` multiply by Kronecker substitution
-        (:func:`_kronecker_product`): one big-integer product plus O(n)
-        packing and n + 1 fraction reductions.  Two series over
-        :data:`LAMBDAS` are split by L-exponent into rational rows and
-        multiply as one Kronecker product per pair of exponents
-        (:func:`_lambda_product`).  The other rings (generator polynomials,
-        quasi-shuffle words, nested series) use the schoolbook convolution,
-        (n + 1)(n + 2)/2 coefficient products.
+        Two series over :data:`RATIONALS` multiply their numerators by
+        Kronecker substitution (:func:`_kronecker_ints`: O(n) packing, one
+        big-integer product, O(n) read-out) and their denominators, then
+        reduce once.  A scalar int or `Fraction` scales the numerators and
+        the denominator.  Two series over :data:`LAMBDAS` are split by
+        L-exponent into rational rows and multiply as one Kronecker product
+        per pair of exponents (:func:`_lambda_product`).  The other rings
+        (generator polynomials, quasi-shuffle words, nested series) use the
+        schoolbook convolution, (n + 1)(n + 2)/2 coefficient products.
         """
         if self._is_peer(other):
             n = min(self.order, other.order)
+            if self._nums is not None and other._nums is not None:
+                return Series._from_ints(
+                    _kronecker_ints(self._nums[: n + 1], other._nums[: n + 1]),
+                    self._den * other._den)
             a, b = self.coeffs, other.coeffs
-            if self.ring is RATIONALS and other.ring is RATIONALS:
-                return Series(_kronecker_product(a[: n + 1], b[: n + 1]))
             if self.ring is LAMBDAS and other.ring is LAMBDAS:
                 return Series(_lambda_product(a[: n + 1], b[: n + 1]), LAMBDAS)
             out = []
@@ -380,6 +448,9 @@ class Series:
             return Series(tuple(out), self.ring)
         if isinstance(other, Series) and other._series_depth > self._series_depth:
             return other * self  # the deeper series absorbs this one as a scalar
+        if self._nums is not None and isinstance(other, (int, Fraction)):
+            p = other.numerator
+            return Series._from_ints([c * p for c in self._nums], self._den * other.denominator)
         _reject_float(other)
         return Series(tuple(c * other for c in self.coeffs), self.ring)
 
@@ -388,6 +459,9 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             raise TypeError("series division is not supported; divide by a scalar")
+        if self._nums is not None and isinstance(other, (int, Fraction)) and other:
+            q = other.denominator
+            return Series._from_ints([c * q for c in self._nums], self._den * other.numerator)
         _reject_float(other)
         return Series(tuple(c / other for c in self.coeffs), self.ring)
 
@@ -405,6 +479,9 @@ class Series:
 
     def __eq__(self, other):
         if self._is_peer(other):
+            if self._nums is not None and other._nums is not None:
+                # both reduced, so equal series have equal numerators and denominators
+                return self._den == other._den and self._nums == other._nums
             return self.order == other.order and self.coeffs == other.coeffs
         if isinstance(other, Series):
             return False
@@ -418,7 +495,7 @@ class Series:
     def truncate(self, order: int) -> "Series":
         if order > self.order:
             raise ValueError(f"cannot extend truncation order {self.order} to {order}")
-        return Series(self.coeffs[: order + 1], self.ring)
+        return self._select(lambda c, zero: c[: order + 1])
 
     def shift(self, k: int) -> "Series":
         """Multiply by x^k, keeping the same truncation order."""
@@ -426,8 +503,7 @@ class Series:
             raise ValueError("shift amount must be >= 0")
         if k > self.order:
             return self._zero_like()
-        zeros = (self.ring.zero,) * k
-        return Series(zeros + self.coeffs[: self.order + 1 - k], self.ring)
+        return self._select(lambda c, zero: (zero,) * k + c[: len(c) - k])
 
     def dilate(self, c) -> "Series":
         """Rescale the argument: return f(c*x)."""
@@ -440,13 +516,13 @@ class Series:
 
     def even_part(self) -> "Series":
         """Coefficients of even powers, reindexed: f(x) = g(x^2) + x*h(x^2) -> g."""
-        return Series(self.coeffs[0::2], self.ring)
+        return self._select(lambda c, zero: c[0::2])
 
     def odd_part(self) -> "Series":
         """Coefficients of odd powers, reindexed: f(x) = g(x^2) + x*h(x^2) -> h."""
         if self.order < 1:
             raise ValueError("need order >= 1 for an odd part")
-        return Series(self.coeffs[1::2], self.ring)
+        return self._select(lambda c, zero: c[1::2])
 
     def map_coefficients(self, fn: Callable, ring: CoeffRing) -> "Series":
         return Series(tuple(fn(c) for c in self.coeffs), ring)

@@ -78,6 +78,12 @@ class TestMainIdentities:
             assert verify_main_a(q, x).ok
             assert verify_main_c(q, x).ok
 
+    def test_verify_a_bigger_window(self):
+        assert verify_main_a(200, 40).status == "verified"
+
+    def test_verify_c_bigger_window(self):
+        assert verify_main_c(200, 40).status == "verified"
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             verify_main_a(10, 7)  # odd x-order

@@ -1,7 +1,11 @@
 """Tests for the floating-point lattice sums and limit checks."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -269,3 +273,29 @@ class TestLimitCheck:
             limit_check(1, [0.9, 0.5])
         with pytest.raises(ValueError):
             limit_check(0, [0.5])
+
+
+# Runs in a fresh interpreter and prints whether numpy is loaded after the
+# exact-only calls, then after a numeric check.
+NUMPY_PROBE = """
+import contextlib, io, sys
+import macmahon, macmahon.cli
+status = [macmahon.verify_main_a(12, 4).status]
+with contextlib.redirect_stdout(io.StringIO()):
+    status.append(macmahon.cli.main(["express", "--target", "A:3"]))
+    status.append("numpy" in sys.modules)
+    status.append(macmahon.cli.main(["numeric", "--check", "monotangent",
+                                     "--k", "4", "--tau", "0,1"]))
+    status.append("numpy" in sys.modules)
+print(status)
+"""
+
+
+def test_numpy_is_imported_by_numeric_checks_only():
+    src = str(Path(numerics.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['verified', 0, False, 0, True]"

@@ -5,11 +5,12 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from fractions import Fraction as F  # noqa: E402
+from math import gcd  # noqa: E402
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from macmahon.series import LAMBDAS, LambdaPoly, Series  # noqa: E402
+from macmahon.series import LAMBDAS, RATIONALS, LambdaPoly, Series, series_ring  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 
@@ -59,3 +60,117 @@ def test_lambda_product_is_truncated_convolution(a, b):
 def test_lambda_product_distributes_over_sum(a, b, c):
     x, y, z = Series(a, LAMBDAS), Series(b, LAMBDAS), Series(c, LAMBDAS)
     assert x * (y + z) == x * y + x * z
+
+
+# -- the integer form of rational series --------------------------------------
+#
+# A series over the rationals is stored as integer numerators over one
+# denominator.  Every operation below is checked against Fraction arithmetic
+# written here, and every result against the canonical form.
+
+big_rationals = st.builds(F, st.integers(-2**300, 2**300), st.integers(1, 2**300))
+entries = st.one_of(st.just(F(0)), st.integers(-9, 9), rationals, big_rationals)
+rational_lists = st.one_of(
+    st.lists(entries, min_size=1, max_size=24),
+    st.integers(1, 24).map(lambda n: [F(0)] * n),  # the zero series
+)
+scalars = st.one_of(st.integers(-10**6, 10**6), rationals, big_rationals)
+
+
+def assert_canonical(s):
+    # one positive denominator sharing no factor with all the numerators;
+    # for the zero series that forces denominator 1
+    assert s._den > 0
+    assert gcd(s._den, *s._nums) == 1
+    assert all(type(c) is F for c in s.coeffs)
+
+
+@PROPERTY
+@given(rational_lists, rational_lists)
+def test_sum_difference_and_negation_match_fractions(a, b):
+    x, y = Series(a), Series(b)
+    assert (x + y).coeffs == tuple(F(p) + q for p, q in zip(a, b))
+    assert (x - y).coeffs == tuple(F(p) - q for p, q in zip(a, b))
+    assert (-x).coeffs == tuple(-F(p) for p in a)
+    for s in (x, y, x + y, x - y, -x):
+        assert_canonical(s)
+
+
+@PROPERTY
+@given(rational_lists, scalars)
+def test_scalar_product_and_quotient_match_fractions(a, c):
+    x = Series(a)
+    assert (x * c).coeffs == (c * x).coeffs == tuple(F(p) * c for p in a)
+    assert_canonical(x * c)
+    if c:
+        assert (x / c).coeffs == tuple(F(p) / c for p in a)
+        assert_canonical(x / c)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x / c
+
+
+@PROPERTY
+@given(rational_lists, rational_lists)
+def test_peer_product_matches_fractions(a, b):
+    prod = Series(a) * Series(b)
+    assert prod.coeffs == schoolbook([F(p) for p in a], [F(q) for q in b])
+    assert_canonical(prod)
+
+
+@PROPERTY
+@given(rational_lists, rational_lists, scalars)
+def test_same_series_by_two_routes_is_equal(a, b, c):
+    x, y = Series(a), Series(b)
+    n = min(len(a), len(b)) - 1
+    assert x * y == Series(schoolbook([F(p) for p in a], [F(q) for q in b]))
+    assert (x + y) - y == x.truncate(n)
+    assert x - x == Series([0] * len(a)) == Series.constant(0, len(a) - 1)
+    if c:
+        assert (x * c) / c == x
+        assert x * c == Series([F(p) * c for p in a])
+    if len(a) > 1:
+        assert x.shift(1).odd_part() == x.truncate(len(a) - 2).even_part()
+    assert x != Series(a + [0])  # a different order is a different series
+
+
+def taylor_exp_local(f, q_order):
+    """exp of [[q-coefficients] per X-power] by the sum of f^j / j!, in Fractions."""
+    m = len(f) - 1
+    zero = [F(0)] * (q_order + 1)
+
+    def outer(a, b):
+        return [[sum(col, F(0)) for col in zip(*(schoolbook(a[i], b[k - i])
+                                                  for i in range(k + 1)))]
+                for k in range(m + 1)]
+
+    term = [[F(1)] + zero[1:]] + [zero] * m
+    total = [list(row) for row in term]
+    for j in range(1, m + 1):
+        term = [[c / j for c in row] for row in outer(term, f)]
+        total = [[s + t for s, t in zip(rs, rt)] for rs, rt in zip(total, term)]
+    return total
+
+
+@PROPERTY
+@given(st.integers(0, 6), st.integers(1, 5), st.data())
+def test_depth_two_compose_and_exp_match_fractions(q_order, x_order, data):
+    row = st.lists(entries, min_size=q_order + 1, max_size=q_order + 1)
+    phi = [[F(0)] * (q_order + 1)] + [[F(c) for c in data.draw(row)] for _ in range(x_order)]
+    s = [F(0)] + [F(c) for c in data.draw(st.lists(entries, min_size=x_order,
+                                                     max_size=x_order))]
+    ring = series_ring(RATIONALS, q_order)
+    outer = Series([Series(r) for r in phi], ring)
+    composed = outer.compose(Series(s))
+    result = composed.exp()
+
+    powers = [[F(1)] + [F(0)] * x_order]
+    for _ in range(x_order):
+        powers.append(schoolbook(powers[-1], s))
+    local = [[sum((phi[i][k] * powers[i][j] for i in range(j + 1)), F(0))
+              for k in range(q_order + 1)] for j in range(x_order + 1)]
+    assert [c.coeffs for c in composed.coeffs] == [tuple(r) for r in local]
+    assert [c.coeffs for c in result.coeffs] == \
+        [tuple(r) for r in taylor_exp_local(local, q_order)]
+    for c in composed.coeffs + result.coeffs:
+        assert_canonical(c)
