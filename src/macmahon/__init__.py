@@ -59,7 +59,6 @@ from .series import (
     NonzeroConstantTermError,
     Series,
     arcsin_series,
-    lift_rationals,
     series_ring,
 )
 
@@ -74,7 +73,7 @@ __all__ = [
     "bernoulli", "divisor_power_sums", "eisenstein", "eisenstein_odd",
     "eval_qseries_at", "express_in_generators", "extract_polynomials",
     "format_generator_poly", "harmonic_diamond", "lemma_combinatorial_check",
-    "lift_rationals", "limit_check", "lipschitz_value", "macmahon_a",
+    "limit_check", "lipschitz_value", "macmahon_a",
     "macmahon_c", "monotangent", "multiple_divisor_series",
     "multiple_divisor_series_odd", "multitangent", "partition_oracle",
     "richardson", "series_ring", "verify_exp_quasi_shuffle", "verify_geng22",

@@ -300,7 +300,13 @@ def _validate_window(q_order: int, x_order: int):
         raise ValueError("x_order must be an even integer >= 2 (both sides are even in X)")
 
 
-def _compare_even_series(identity: str, params: dict, lhs: Series, rhs: Series) -> VerdictReport:
+def _first_mismatch(identity: str, params: dict, lhs: Series, rhs: Series,
+                    coord: str, step: int) -> VerdictReport:
+    """Coefficientwise verdict on two series whose coefficients are q-series.
+
+    The first differing q-coefficient is reported at ``{coord: step * r,
+    "q_exp": n}`` for the coefficient of the r-th outer power and q^n.
+    """
     for r in range(lhs.order + 1):
         a, b = lhs[r], rhs[r]
         if a == b:
@@ -309,7 +315,7 @@ def _compare_even_series(identity: str, params: dict, lhs: Series, rhs: Series) 
             if a[n] != b[n]:
                 return VerdictReport(
                     identity, params, "mismatch",
-                    Mismatch({"x_exp": 2 * r, "q_exp": n}, str(a[n]), str(b[n])),
+                    Mismatch({coord: step * r, "q_exp": n}, str(a[n]), str(b[n])),
                 )
     return VerdictReport(identity, params, "verified")
 
@@ -322,7 +328,8 @@ def verify_main_a(q_order: int, x_order: int) -> VerdictReport:
     gens = {j: eisenstein(2 * j, q_order) for j in range(1, y_order + 1)}
     rhs = _generating_rhs(gens, y_order, inner, prefactor=True)
     lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=False), inner)
-    return _compare_even_series("main-a", {"q_order": q_order, "x_order": x_order}, lhs, rhs)
+    return _first_mismatch("main-a", {"q_order": q_order, "x_order": x_order}, lhs, rhs,
+                           "x_exp", 2)
 
 
 def verify_main_c(q_order: int, x_order: int) -> VerdictReport:
@@ -333,7 +340,8 @@ def verify_main_c(q_order: int, x_order: int) -> VerdictReport:
     gens = {j: eisenstein_odd(2 * j, q_order) for j in range(1, y_order + 1)}
     rhs = _generating_rhs(gens, y_order, inner, prefactor=False)
     lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=True), inner)
-    return _compare_even_series("main-c", {"q_order": q_order, "x_order": x_order}, lhs, rhs)
+    return _first_mismatch("main-c", {"q_order": q_order, "x_order": x_order}, lhs, rhs,
+                           "x_exp", 2)
 
 
 def generator_names(side: str, r_max: int) -> list:
@@ -540,8 +548,11 @@ def zeta_two_power(j: int) -> LambdaPoly:
 
 
 def _lambda_lift(f: Series, exponent: int) -> Series:
-    """Rational q-series -> q-series over L-polynomials, scaled by L^exponent."""
-    return f.map_coefficients(lambda c: LambdaPoly({exponent: c}), LAMBDAS)
+    """Rational q-series -> q-series over L-polynomials, scaled by L^exponent.
+
+    The numerators of ``f`` become the one row of the result.
+    """
+    return Series._from_rows({exponent: f._nums}, f._den, len(f))
 
 
 def verify_geng22(t_order: int, q_order: int) -> VerdictReport:
@@ -580,26 +591,16 @@ def verify_geng22(t_order: int, q_order: int) -> VerdictReport:
 
     for l in range(half + 1):
         coeff = lhs[2 * l + 1]
-        for n in range(q_order + 1):
-            if not coeff[n].is_homogeneous(l):
-                return VerdictReport(
-                    params=params, identity="geng22", status="mismatch",
-                    mismatch=Mismatch({"t_exp": 2 * l + 1, "q_exp": n}, str(coeff[n]),
-                                      f"L-homogeneous of degree {l}",
-                                      note="weight grading violated"),
-                )
-
-    for t in range(t_order + 1):
-        a, b = lhs[t], rhs[t]
-        if a == b:
+        if coeff._rows.keys() <= {l}:  # the L-exponents present in any q-coefficient
             continue
-        for n in range(q_order + 1):
-            if a[n] != b[n]:
-                return VerdictReport(
-                    params=params, identity="geng22", status="mismatch",
-                    mismatch=Mismatch({"t_exp": t, "q_exp": n}, str(a[n]), str(b[n])),
-                )
-    return VerdictReport("geng22", params, "verified")
+        n = next(n for n in range(q_order + 1) if not coeff[n].is_homogeneous(l))
+        return VerdictReport(
+            params=params, identity="geng22", status="mismatch",
+            mismatch=Mismatch({"t_exp": 2 * l + 1, "q_exp": n}, str(coeff[n]),
+                              f"L-homogeneous of degree {l}",
+                              note="weight grading violated"),
+        )
+    return _first_mismatch("geng22", params, lhs, rhs, "t_exp", 1)
 
 
 def lemma_combinatorial_check(n_max: int) -> VerdictReport:

@@ -17,22 +17,28 @@ construction and every operation is a pure function.
 
 A series over :data:`RATIONALS` is stored as integer numerators over one
 positive common denominator, reduced so that the gcd of the denominator and
-all numerators is 1 (a zero series has denominator 1).  The form is unique,
-so ``==`` compares integers.  :attr:`Series.coeffs` builds the `Fraction`
-tuple on first read and keeps it.  Sums, negation, scalar products and
-quotients by an int or `Fraction`, and peer products work on the integers
-and reduce once per result with one gcd pass, never once per coefficient.
+all numerators is 1 (a zero series has denominator 1).  A series over
+:data:`LAMBDAS` is stored the same way, one row of integer numerators per
+L-exponent present, ``{e: numerators of the L^e parts}``, over one common
+denominator; all-zero rows are dropped, so a zero series has no rows and
+keeps its order in its length.  Both forms are unique, so ``==`` compares
+integers.  :attr:`Series.coeffs` builds the `Fraction` (resp.
+:class:`LambdaPoly`) tuple on first read and keeps it.  Sums, negation,
+scalar products and quotients by an int or `Fraction`, peer products and
+the coefficient selections (``truncate``, ``shift``, ``even_part``,
+``odd_part``) work on the integers and reduce once per result with one gcd
+pass, never once per coefficient.
 
 Costs, for order n and coefficient products counted as one step each:
 
 * ``a * b`` between two series over :data:`RATIONALS` is one big-integer
   product of the packed numerators by Kronecker substitution, so the
   convolution runs in CPython's Karatsuba multiply; the denominators
-  multiply.  Over :data:`LAMBDAS` it is one such product per pair of
-  L-exponents present in the operands.  The other rings use the O(n^2)
-  schoolbook convolution.
-* ``a + b`` and scalar products of a series over :data:`RATIONALS` take
-  O(n) integer operations plus the gcd pass.
+  multiply.  Over :data:`LAMBDAS` it is one such product per pair of rows,
+  summed into the row of the exponent sum.  The other rings use the
+  O(n^2) schoolbook convolution.
+* ``a + b`` and scalar products of a series over :data:`RATIONALS` or
+  :data:`LAMBDAS` take O(n) integer operations per row plus the gcd pass.
 * :meth:`Series.exp` uses the recurrence for b' = a'b: O(n^2) coefficient
   products.
 * :meth:`Series.compose` builds the n powers of the inner series (n series
@@ -44,6 +50,7 @@ Costs, for order n and coefficient products counted as one step each:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Callable
 
@@ -239,86 +246,53 @@ def _kronecker_ints(a: list, b: list) -> list:
             for k in range(0, width * size, width)]
 
 
-def _kronecker_product(a: tuple, b: tuple) -> tuple:
-    """Truncated product of two equally long tuples of rationals.
-
-    Each operand becomes integer numerators over its lcm denominator, and
-    the numerators are multiplied by :func:`_kronecker_ints`.
-    """
-    den_a = lcm(*(c.denominator for c in a))
-    den_b = lcm(*(c.denominator for c in b))
-    num_a = [c.numerator * (den_a // c.denominator) for c in a]
-    num_b = [c.numerator * (den_b // c.denominator) for c in b]
-    den = den_a * den_b
-    return tuple(Fraction(c, den) for c in _kronecker_ints(num_a, num_b))
-
-
-def _split_by_exponent(coeffs: tuple) -> dict:
-    """{e: the rational coefficients of L^e} of a tuple of L-polynomials.
-
-    A bare rational coefficient counts as its own L^0 part; missing terms
-    are zero.
-    """
-    zero = Fraction(0)
-    rows = {}
-    for k, c in enumerate(coeffs):
-        for e, v in (c.coeffs.items() if isinstance(c, LambdaPoly) else ((0, c),)):
-            if v:
-                rows.setdefault(e, [zero] * len(coeffs))[k] = v
-    return rows
-
-
-def _lambda_product(a: tuple, b: tuple) -> tuple:
-    """Truncated product of two equally long tuples of L-polynomials.
-
-    Every pair of L-exponents (e1, e2) contributes the rational product of
-    their coefficient rows, by :func:`_kronecker_product`, to exponent
-    e1 + e2.
-    """
-    rows_b = _split_by_exponent(b).items()
-    out = {}
-    for e1, row_a in _split_by_exponent(a).items():
-        for e2, row_b in rows_b:
-            prod = _kronecker_product(row_a, row_b)
-            e = e1 + e2
-            out[e] = prod if e not in out else [x + y for x, y in zip(out[e], prod)]
-    return tuple(LambdaPoly({e: row[k] for e, row in out.items()}) for k in range(len(a)))
-
-
 class Series:
     """A truncated power series: ``coeffs[i]`` is the coefficient of x^i.
 
     ``order`` is the highest retained power; higher coefficients are
     unknown, not zero.  Coefficients live in ``ring``; integers passed as
-    coefficients are embedded via ``ring.one``.  Over :data:`RATIONALS` the
-    coefficients are held as integer numerators over one denominator (see
-    the module docstring); ``coeffs`` still reads as `Fraction`s.
+    coefficients are embedded via ``ring.one``.  Over :data:`RATIONALS` and
+    :data:`LAMBDAS` the coefficients are held as integer numerators over one
+    denominator (see the module docstring); ``coeffs`` still reads as
+    `Fraction`s, resp. :class:`LambdaPoly` values.
 
     >>> x = Series([0, 1, 0, 0])
     >>> ((1 + x) * (1 - x)).coeffs
     (Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1))
     """
 
-    # over RATIONALS: _nums and _den hold the series, _coeffs is None until
-    # read; over any other ring: _coeffs holds it and _nums, _den are None
-    __slots__ = ("ring", "_coeffs", "_nums", "_den", "_series_depth")
+    # over RATIONALS: _nums and _den hold the series; over LAMBDAS: _rows and
+    # _den do; _coeffs is None until read.  Over any other ring _coeffs holds
+    # the series and _nums, _rows, _den are None.
+    __slots__ = ("ring", "_coeffs", "_nums", "_rows", "_den", "_len", "_series_depth")
 
     def __init__(self, coeffs, ring: CoeffRing = RATIONALS):
         coeffs = tuple(coeffs)
+        if not coeffs:
+            raise ValueError("a series needs at least its constant coefficient")
+        self._nums = self._rows = self._den = self._coeffs = None
         if ring is RATIONALS and all(isinstance(c, (int, Fraction)) for c in coeffs):
             den = lcm(*(c.denominator for c in coeffs))
             # over the lcm of reduced denominators the numerators share no factor with it
             self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
             self._den = den
-            self._coeffs = None
+        elif ring is LAMBDAS and all(isinstance(c, (int, Fraction, LambdaPoly)) for c in coeffs):
+            terms = [c.coeffs.items() if isinstance(c, LambdaPoly) else ((0, c),) for c in coeffs]
+            den = lcm(*(v.denominator for t in terms for _, v in t))
+            rows = {}
+            for k, t in enumerate(terms):
+                for e, v in t:
+                    if v:
+                        row = rows.setdefault(e, [0] * len(coeffs))
+                        row[k] = v.numerator * (den // v.denominator)
+            # reduced as above, and a row exists only where a term is nonzero
+            self._rows = {e: tuple(row) for e, row in rows.items()}
+            self._den = den
         else:
-            coeffs = tuple(ring.one * c if isinstance(c, int) else _reject_float(c)
-                           for c in coeffs)
-            self._nums = self._den = None
-            self._coeffs = coeffs
-        if not coeffs:
-            raise ValueError("a series needs at least its constant coefficient")
+            self._coeffs = tuple(ring.one * c if isinstance(c, int) else _reject_float(c)
+                                 for c in coeffs)
         self.ring = ring
+        self._len = len(coeffs)
         self._series_depth = 1 + _depth(coeffs[0])
 
     @classmethod
@@ -333,8 +307,32 @@ class Series:
         self = object.__new__(cls)
         self.ring = RATIONALS
         self._nums = tuple(nums)
+        self._rows = self._coeffs = None
         self._den = den
-        self._coeffs = None
+        self._len = len(self._nums)
+        self._series_depth = 1
+        return self
+
+    @classmethod
+    def _from_rows(cls, rows: dict, den: int, size: int) -> "Series":
+        """The series over :data:`LAMBDAS` with L^e part rows[e][i] / den in x^i, reduced.
+
+        Every row has ``size`` entries; all-zero rows are dropped.  The rows
+        are reduced together, as in :meth:`_from_ints`.
+        """
+        rows = {e: row for e, row in rows.items() if any(row)}
+        g = gcd(den, *chain.from_iterable(rows.values()))
+        if den < 0:
+            g = -g
+        if g != 1:
+            rows = {e: [c // g for c in row] for e, row in rows.items()}
+            den //= g
+        self = object.__new__(cls)
+        self.ring = LAMBDAS
+        self._rows = {e: tuple(row) for e, row in rows.items()}
+        self._nums = self._coeffs = None
+        self._den = den
+        self._len = size
         self._series_depth = 1
         return self
 
@@ -342,7 +340,13 @@ class Series:
     def coeffs(self) -> tuple:
         if self._coeffs is None:
             den = self._den
-            self._coeffs = tuple(Fraction(c, den) for c in self._nums)
+            if self._nums is not None:
+                self._coeffs = tuple(Fraction(c, den) for c in self._nums)
+            else:
+                rows = sorted(self._rows.items())
+                self._coeffs = tuple(
+                    LambdaPoly({e: Fraction(row[k], den) for e, row in rows if row[k]})
+                    for k in range(self._len))
         return self._coeffs
 
     @classmethod
@@ -353,7 +357,7 @@ class Series:
 
     @property
     def order(self) -> int:
-        return len(self._coeffs if self._nums is None else self._nums) - 1
+        return self._len - 1
 
     def __getitem__(self, i: int):
         coeffs = self.coeffs
@@ -362,7 +366,7 @@ class Series:
         return coeffs[i]
 
     def __len__(self):
-        return self.order + 1
+        return self._len
 
     def _zero_like(self, order=None):
         return Series.constant(self.ring.zero, self.order if order is None else order, self.ring)
@@ -377,23 +381,41 @@ class Series:
         """The series with coefficients pick(coefficients, zero).
 
         ``pick`` may only drop, reorder or repeat coefficients and insert
-        ``zero``, so a rational series is picked on its numerators.
+        ``zero``, so a series in integer form is picked on its numerators.
         """
         if self._nums is not None:
             return Series._from_ints(pick(self._nums, 0), self._den)
+        if self._rows is not None:
+            rows = {e: pick(row, 0) for e, row in self._rows.items()}
+            return Series._from_rows(rows, self._den, len(pick((0,) * self._len, 0)))
         return Series(pick(self._coeffs, self.ring.zero), self.ring)
+
+    def _scaled(self, p: int, q: int) -> "Series":
+        """This series, in integer form, times p / q."""
+        if self._nums is not None:
+            return Series._from_ints([c * p for c in self._nums], self._den * q)
+        return Series._from_rows({e: [c * p for c in row] for e, row in self._rows.items()},
+                                 self._den * q, self._len)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if self._is_peer(other):
-            if self._nums is not None and other._nums is not None:
+            if self._den is not None and other._den is not None:
+                # ma, mb bring both numerators over lcm(da, db) = da * ma
                 da, db = self._den, other._den
                 g = gcd(da, db)
                 ma, mb = db // g, da // g
+            if self._nums is not None and other._nums is not None:
                 # zip stops at the shorter operand: the smaller order
                 return Series._from_ints(
                     [a * ma + b * mb for a, b in zip(self._nums, other._nums)], da * ma)
+            if self._rows is not None and other._rows is not None:
+                size = min(self._len, other._len)
+                ra, rb, zeros = self._rows, other._rows, (0,) * size
+                out = {e: [x * ma + y * mb for x, y in zip(ra.get(e, zeros), rb.get(e, zeros))]
+                       for e in ra.keys() | rb.keys()}
+                return Series._from_rows(out, da * ma, size)
             n = min(self.order, other.order)
             return Series(
                 tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
@@ -407,8 +429,8 @@ class Series:
     __radd__ = __add__
 
     def __neg__(self):
-        if self._nums is not None:
-            return Series._from_ints([-c for c in self._nums], self._den)
+        if self._den is not None:
+            return self._scaled(-1, 1)
         return Series(tuple(-c for c in self._coeffs), self.ring)
 
     def __sub__(self, other):
@@ -423,10 +445,10 @@ class Series:
         Two series over :data:`RATIONALS` multiply their numerators by
         Kronecker substitution (:func:`_kronecker_ints`: O(n) packing, one
         big-integer product, O(n) read-out) and their denominators, then
-        reduce once.  A scalar int or `Fraction` scales the numerators and
-        the denominator.  Two series over :data:`LAMBDAS` are split by
-        L-exponent into rational rows and multiply as one Kronecker product
-        per pair of exponents (:func:`_lambda_product`).  The other rings
+        reduce once.  Two series over :data:`LAMBDAS` do the same for every
+        pair of rows, (e1, e2), and sum the products into the row of
+        e1 + e2 before the one reduction.  A scalar int or `Fraction`
+        scales the numerators and the denominator.  The other rings
         (generator polynomials, quasi-shuffle words, nested series) use the
         schoolbook convolution, (n + 1)(n + 2)/2 coefficient products.
         """
@@ -436,9 +458,17 @@ class Series:
                 return Series._from_ints(
                     _kronecker_ints(self._nums[: n + 1], other._nums[: n + 1]),
                     self._den * other._den)
+            if self._rows is not None and other._rows is not None:
+                rows_b = [(e, row[: n + 1]) for e, row in other._rows.items()]
+                out = {}
+                for e1, row_a in self._rows.items():
+                    row_a = row_a[: n + 1]
+                    for e2, row_b in rows_b:
+                        prod = _kronecker_ints(row_a, row_b)
+                        e = e1 + e2
+                        out[e] = prod if e not in out else [x + y for x, y in zip(out[e], prod)]
+                return Series._from_rows(out, self._den * other._den, n + 1)
             a, b = self.coeffs, other.coeffs
-            if self.ring is LAMBDAS and other.ring is LAMBDAS:
-                return Series(_lambda_product(a[: n + 1], b[: n + 1]), LAMBDAS)
             out = []
             for k in range(n + 1):
                 acc = a[0] * b[k]
@@ -448,9 +478,8 @@ class Series:
             return Series(tuple(out), self.ring)
         if isinstance(other, Series) and other._series_depth > self._series_depth:
             return other * self  # the deeper series absorbs this one as a scalar
-        if self._nums is not None and isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return Series._from_ints([c * p for c in self._nums], self._den * other.denominator)
+        if self._den is not None and isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
         _reject_float(other)
         return Series(tuple(c * other for c in self.coeffs), self.ring)
 
@@ -459,9 +488,10 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             raise TypeError("series division is not supported; divide by a scalar")
-        if self._nums is not None and isinstance(other, (int, Fraction)) and other:
-            q = other.denominator
-            return Series._from_ints([c * q for c in self._nums], self._den * other.numerator)
+        if self._den is not None and isinstance(other, (int, Fraction)):
+            if not other:  # also for the zero series, which has no numerator to divide
+                raise ZeroDivisionError("series division by zero")
+            return self._scaled(other.denominator, other.numerator)
         _reject_float(other)
         return Series(tuple(c / other for c in self.coeffs), self.ring)
 
@@ -479,9 +509,12 @@ class Series:
 
     def __eq__(self, other):
         if self._is_peer(other):
+            # both reduced, so equal series have equal numerators and denominators
             if self._nums is not None and other._nums is not None:
-                # both reduced, so equal series have equal numerators and denominators
                 return self._den == other._den and self._nums == other._nums
+            if self._rows is not None and other._rows is not None:
+                return (self._len == other._len and self._den == other._den
+                        and self._rows == other._rows)
             return self.order == other.order and self.coeffs == other.coeffs
         if isinstance(other, Series):
             return False
@@ -640,8 +673,3 @@ def arcsin_series(x_order: int) -> Series:
         c = c * (2 * j + 1) ** 2 / ((2 * j + 2) * (2 * j + 3))
         j += 1
     return Series(coeffs)
-
-
-def lift_rationals(f: Series, ring: CoeffRing) -> Series:
-    """Embed a rational series into ``ring`` coefficientwise (c -> c * one)."""
-    return f.map_coefficients(lambda c: ring.one * c, ring)

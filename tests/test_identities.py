@@ -9,7 +9,7 @@ from macmahon.identities import (
     GENPOLYS,
     GeneratorPoly,
     NoRepresentationError,
-    _compare_even_series,
+    _first_mismatch,
     _generating_rhs,
     _solve_exact,
     express_in_generators,
@@ -22,7 +22,7 @@ from macmahon.identities import (
     verify_main_c,
     zeta_two_power,
 )
-from macmahon import qseries
+from macmahon import identities, qseries
 from macmahon.qseries import bernoulli, eisenstein, eisenstein_odd, macmahon_a, macmahon_c, \
     multiple_divisor_series
 from macmahon.series import (
@@ -31,9 +31,13 @@ from macmahon.series import (
     LambdaPoly,
     Series,
     arcsin_series,
-    lift_rationals,
     series_ring,
 )
+
+
+def lift_rationals(f, ring):
+    """Embed a rational series into ``ring`` coefficientwise (c -> c * one)."""
+    return f.map_coefficients(lambda c: ring.one * c, ring)
 
 
 def lifted_x_route(gen_vals, x_order, inner, prefactor):
@@ -98,7 +102,7 @@ class TestMainIdentities:
         a = Series([ring.one, eisenstein(2, 5), ring.zero], ring)
         wrong = eisenstein(2, 5) + Series([0, 0, 0, 1, 0, 0])
         b = Series([ring.one, wrong, ring.zero], ring)
-        report = _compare_even_series("probe", {"q_order": 5, "x_order": 4}, a, b)
+        report = _first_mismatch("probe", {"q_order": 5, "x_order": 4}, a, b, "x_exp", 2)
         assert report.status == "mismatch"
         assert report.mismatch.coords == {"x_exp": 2, "q_exp": 3}
         assert 0 <= report.mismatch.coords["q_exp"] <= 5
@@ -108,8 +112,6 @@ class TestMainIdentities:
         # present) and check it reproduces 1 + sum A_r X^{2r} with vanishing
         # odd coefficients; this pins the even-graded fast path to the
         # unoptimized formula
-        from macmahon.series import arcsin_series, lift_rationals
-
         q_order, x_order = 8, 6
         inner = series_ring(RATIONALS, q_order)
         s = lift_rationals(arcsin_series(x_order).dilate(F(1, 2)) * 2, inner)
@@ -356,8 +358,46 @@ class TestGeng22:
         assert report.ok
 
     def test_bigger_window(self):
-        # products over L-polynomials are Kronecker products: about 0.2 s
+        # products over L-polynomials are Kronecker products of integer rows
         assert verify_geng22(15, 30).status == "verified"
+
+    def test_biggest_window(self):
+        # the window the integer-row form of L-polynomial series was timed on
+        assert verify_geng22(31, 80).status == "verified"
+
+    def test_value_mismatch_report(self, monkeypatch):
+        # one wrong q^5 coefficient of A_2 = g({2}^2) surfaces at T^5 q^5
+        chain = identities._macmahon_chain
+
+        def doctored(*args, **kwargs):
+            out = chain(*args, **kwargs)
+            out[1] = out[1] + Series([0] * 5 + [1] + [0] * (out[1].order - 5))
+            return out
+
+        monkeypatch.setattr(identities, "_macmahon_chain", doctored)
+        report = verify_geng22(9, 10)
+        assert report.to_dict() == {
+            "identity": "geng22", "params": {"t_order": 9, "q_order": 10},
+            "status": "mismatch",
+            "mismatch": {"coords": {"t_exp": 5, "q_exp": 5},
+                         "lhs": "33/4*L^2", "rhs": "37/4*L^2"},
+        }
+
+    def test_weight_grading_report(self, monkeypatch):
+        # G_4 lifted with L^3 in place of L^2 breaks the homogeneity of T^5
+        lift = identities._lambda_lift
+        g4 = eisenstein(4, 10)
+        monkeypatch.setattr(identities, "_lambda_lift",
+                            lambda f, exponent: lift(f, 3 if f == g4 else exponent))
+        report = verify_geng22(9, 10)
+        assert report.to_dict() == {
+            "identity": "geng22", "params": {"t_order": 9, "q_order": 10},
+            "status": "mismatch",
+            "mismatch": {"coords": {"t_exp": 5, "q_exp": 0},
+                         "lhs": "1/1152*L^2 - 1/2880*L^3",
+                         "rhs": "L-homogeneous of degree 2",
+                         "note": "weight grading violated"},
+        }
 
     def test_depth_one_fourier_expansion(self):
         # the T^3 coefficient identity: zeta(2) + L*g(2) = L*G_2(q)

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction as F
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
@@ -13,12 +13,16 @@ from macmahon.series import (
     NonzeroConstantTermError,
     Series,
     arcsin_series,
-    lift_rationals,
     series_ring,
 )
 from macmahon.identities import GENPOLYS, GeneratorPoly
 from macmahon.qseries import eisenstein, eisenstein_odd
 from macmahon.quasishuffle import QuasiShuffleAlgebra
+
+
+def lift_rationals(f, ring):
+    """Embed a rational series into ``ring`` coefficientwise (c -> c * one)."""
+    return f.map_coefficients(lambda c: ring.one * c, ring)
 
 
 def sigma1_brute(n):
@@ -392,7 +396,7 @@ class TestLambdaProduct:
         self.check(b, a)
 
     def test_bare_rational_coefficients(self):
-        # ints are embedded as L^0 polys; a Fraction stays as it is given
+        # ints and bare Fractions are embedded as L^0 polys
         a = Series([F(1, 2), LambdaPoly({1: 3}), 4], LAMBDAS)
         b = Series([LambdaPoly({2: F(-1, 5)}), F(0), F(-3, 7)], LAMBDAS)
         assert (a * b).coeffs == schoolbook(a.coeffs, b.coeffs)
@@ -403,6 +407,137 @@ class TestLambdaProduct:
         mixed = g2 + g4 + Series.constant(LambdaPoly({0: F(1, 6)}), 30, LAMBDAS)
         self.check(mixed.coeffs, mixed.coeffs)
         self.check(g2.coeffs, g4.coeffs)
+
+
+class TestLambdaRows:
+    """Series over L-polynomials, held as integer rows, against LambdaPoly arithmetic."""
+
+    SCALARS = (-3, 7, F(-7, 12), F(2**300 + 1, 3**190), F(-(2**300), 2**300 - 1))
+
+    @staticmethod
+    def rand_list(rng, size):
+        if rng.random() < 0.15:
+            return [LambdaPoly()] * size  # the zero series
+        return [TestLambdaProduct.rand_poly(rng) for _ in range(size)]
+
+    @staticmethod
+    def check(s, expected):
+        """``s`` holds exactly the polynomials ``expected``, in the canonical row form."""
+        assert s.ring is LAMBDAS
+        assert len(s) == len(expected)
+        assert all(type(c) is LambdaPoly for c in s.coeffs)
+        assert s.coeffs == tuple(expected)
+        assert [str(c) for c in s.coeffs] == [str(c) for c in expected]
+        assert s._den > 0
+        assert all(any(row) and len(row) == len(s) for row in s._rows.values())
+        assert gcd(s._den, *(c for row in s._rows.values() for c in row)) == 1
+        assert s == Series(s.coeffs, LAMBDAS)  # rebuilt from the coefficients
+
+    def pairs(self, seed, count=60):
+        rng = random.Random(seed)
+        for _ in range(count):
+            a = self.rand_list(rng, rng.randint(1, 16))
+            b = self.rand_list(rng, rng.randint(1, 16))
+            yield a, b
+
+    def test_sum_difference_and_negation(self):
+        for a, b in self.pairs(20261019):
+            x, y = Series(a, LAMBDAS), Series(b, LAMBDAS)
+            self.check(x, a)
+            self.check(x + y, [p + q for p, q in zip(a, b)])
+            self.check(x - y, [p - q for p, q in zip(a, b)])
+            self.check(-x, [-p for p in a])
+
+    def test_rows_that_cancel(self):
+        a = [LambdaPoly({0: F(1, 3), 2: -1}), LambdaPoly({2: F(5, 7)}), LambdaPoly({4: 2})]
+        b = [LambdaPoly({0: F(-1, 3), 2: 1}), LambdaPoly({1: F(1, 9)}), LambdaPoly({4: -2})]
+        total = Series(a, LAMBDAS) + Series(b, LAMBDAS)
+        self.check(total, [LambdaPoly(), LambdaPoly({1: F(1, 9), 2: F(5, 7)}), LambdaPoly()])
+        assert sorted(total._rows) == [1, 2]
+        zero = Series(a, LAMBDAS) - Series(a, LAMBDAS)
+        self.check(zero, [LambdaPoly()] * 3)
+        assert zero._rows == {} and zero._den == 1
+        assert zero == Series.constant(LAMBDAS.zero, 2, LAMBDAS)
+        assert zero != Series.constant(LAMBDAS.zero, 3, LAMBDAS)  # the order is kept
+
+    def test_scalar_products_and_quotients(self):
+        for a, _ in self.pairs(20261020, 30):
+            x = Series(a, LAMBDAS)
+            for c in self.SCALARS:
+                self.check(x * c, [p * c for p in a])
+                self.check(c * x, [p * c for p in a])
+                self.check(x / c, [p / c for p in a])
+            self.check(x * 0, [LambdaPoly()] * len(a))
+            with pytest.raises(ZeroDivisionError):
+                x / 0
+            with pytest.raises(TypeError):
+                x * 0.5
+        with pytest.raises(TypeError):
+            Series([LambdaPoly({1: 1}), 0.5], LAMBDAS)
+
+    def test_selections(self):
+        for a, _ in self.pairs(20261021, 40):
+            x, n = Series(a, LAMBDAS), len(a)
+            for k in range(n):
+                self.check(x.truncate(k), a[: k + 1])
+            for k in range(n + 2):
+                self.check(x.shift(k), ([LambdaPoly()] * k + a)[:n])
+            self.check(x.even_part(), a[0::2])
+            if n > 1:
+                self.check(x.odd_part(), a[1::2])
+
+    def test_products(self):
+        for a, b in self.pairs(20261022, 40):
+            self.check(Series(a, LAMBDAS) * Series(b, LAMBDAS), schoolbook(a, b))
+
+    def test_same_series_by_two_routes(self):
+        for a, b in self.pairs(20261023, 40):
+            x, y = Series(a, LAMBDAS), Series(b, LAMBDAS)
+            n = min(len(a), len(b)) - 1
+            assert (x + y) - y == x.truncate(n)
+            assert x * y == Series(schoolbook(a, b), LAMBDAS)
+            assert x * F(-2**300, 3) / F(-2**300, 3) == x
+            assert x != Series(a + [LambdaPoly()], LAMBDAS)
+            if len(a) > 1:
+                assert x.shift(1).odd_part() == x.truncate(len(a) - 2).even_part()
+        # a bare rational and an int are the L^0 part
+        assert Series([F(1, 2), 3], LAMBDAS) == Series([LambdaPoly({0: F(1, 2)}),
+                                                       LambdaPoly({0: 3})], LAMBDAS)
+
+    @staticmethod
+    def nested_product(a, b):
+        """Truncated product of two lists of LambdaPoly lists, all inner lists equally long."""
+        m = min(len(a), len(b))
+        return [[sum(col, LambdaPoly()) for col in zip(*(schoolbook(a[i], b[k - i])
+                                                          for i in range(k + 1)))]
+                for k in range(m)]
+
+    def depth_two(self, rng, q_order, x_order, zero_constant=False):
+        rows = [self.rand_list(rng, q_order + 1) for _ in range(x_order + 1)]
+        if zero_constant:
+            rows[0] = [LambdaPoly()] * (q_order + 1)
+        return rows
+
+    def test_depth_two_product_and_exp(self):
+        rng = random.Random(20261024)
+        for _ in range(8):
+            q_order, x_order = rng.randint(0, 4), rng.randint(0, 4)
+            ring = series_ring(LAMBDAS, q_order)
+            a = self.depth_two(rng, q_order, x_order)
+            b = self.depth_two(rng, q_order, rng.randint(0, 4))
+            f = self.depth_two(rng, q_order, x_order, zero_constant=True)
+            outer = lambda rows: Series([Series(r, LAMBDAS) for r in rows], ring)  # noqa: E731
+            prod = outer(a) * outer(b)
+            for got, want in zip(prod.coeffs, self.nested_product(a, b), strict=True):
+                self.check(got, want)
+            one = [LambdaPoly({0: 1})] + [LambdaPoly()] * q_order
+            zero = [LambdaPoly()] * (q_order + 1)
+            term = total = [one] + [zero] * x_order
+            for j in range(1, x_order + 1):
+                term = [[c / j for c in row] for row in self.nested_product(term, f)]
+                total = [[s + t for s, t in zip(rs, rt)] for rs, rt in zip(total, term)]
+            for got, want in zip(outer(f).exp().coeffs, total, strict=True):
+                self.check(got, want)
 
 
 class TestExpRecurrence:

@@ -174,3 +174,51 @@ def test_depth_two_compose_and_exp_match_fractions(q_order, x_order, data):
         [tuple(r) for r in taylor_exp_local(local, q_order)]
     for c in composed.coeffs + result.coeffs:
         assert_canonical(c)
+
+
+# -- the integer-row form of series over L-polynomials ------------------------
+#
+# A series over LAMBDAS is stored as one row of integer numerators per
+# L-exponent over one denominator.  Every operation is checked against
+# LambdaPoly arithmetic coefficient by coefficient, and every result against
+# the canonical form.
+
+big_lambda_polys = st.dictionaries(
+    st.integers(0, 6), st.one_of(st.just(F(0)), rationals, big_rationals), max_size=4,
+).map(LambdaPoly)
+lambda_series_lists = st.one_of(
+    st.lists(big_lambda_polys, min_size=1, max_size=16),
+    st.integers(1, 16).map(lambda n: [LambdaPoly()] * n),  # the zero series
+)
+
+
+def assert_rows_canonical(s, expected):
+    assert s.ring is LAMBDAS
+    assert s.coeffs == tuple(expected)
+    assert all(type(c) is LambdaPoly for c in s.coeffs)
+    assert s._den > 0
+    assert all(any(row) and len(row) == len(s) for row in s._rows.values())
+    assert gcd(s._den, *(c for row in s._rows.values() for c in row)) == 1
+
+
+@PROPERTY
+@given(lambda_series_lists, lambda_series_lists, scalars)
+def test_lambda_rows_match_lambda_polys(a, b, c):
+    x, y = Series(a, LAMBDAS), Series(b, LAMBDAS)
+    assert_rows_canonical(x, a)
+    assert_rows_canonical(x + y, [p + q for p, q in zip(a, b)])
+    assert_rows_canonical(x - y, [p - q for p, q in zip(a, b)])
+    assert_rows_canonical(-x, [-p for p in a])
+    assert_rows_canonical(x * c, [p * c for p in a])
+    if c:
+        assert_rows_canonical(x / c, [p / c for p in a])
+        assert (x * c) / c == x
+    n = len(a)
+    assert_rows_canonical(x.truncate(n // 2), a[: n // 2 + 1])
+    assert_rows_canonical(x.shift(n // 3 + 1), ([LambdaPoly()] * (n // 3 + 1) + a)[:n])
+    assert_rows_canonical(x.even_part(), a[0::2])
+    if n > 1:
+        assert_rows_canonical(x.odd_part(), a[1::2])
+    assert_rows_canonical(x * y, schoolbook(a, b))
+    assert x * y == Series(schoolbook(a, b), LAMBDAS)  # the same series by two routes
+    assert (x + y) - y == x.truncate(min(len(a), len(b)) - 1)
