@@ -25,6 +25,7 @@ from . import __version__
 from .identities import (
     NoRepresentationError,
     _monomials_up_to_weight,
+    _ordered_monomials,
     express_in_generators,
     format_generator_poly,
     lemma_combinatorial_check,
@@ -238,15 +239,9 @@ def _cmd_express(args) -> int:
 
     weights = {n: w for n, w, _ in generators}
     rendered = format_generator_poly(rep.poly, names, weights)
-    terms = []
-    for mon in sorted(rep.poly.terms, key=lambda m: (sum(weights[n] for n in m),
-                                                     tuple(-m.count(n) for n in names))):
-        if not mon:
-            continue
-        terms.append({
-            "monomial": {n: mon.count(n) for n in names if n in mon},
-            "coefficient": str(rep.poly.terms[mon]),
-        })
+    terms = [{"monomial": {n: mon.count(n) for n in names if n in mon},
+              "coefficient": str(rep.poly.terms[mon])}
+             for mon in _ordered_monomials(rep.poly, names, weights)]
     payload = {
         "status": "ok",
         "polynomial": rendered,

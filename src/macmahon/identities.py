@@ -43,6 +43,7 @@ from .series import (
     CoeffRing,
     LambdaPoly,
     Series,
+    SparsePoly,
     arcsin_series,
     series_ring,
 )
@@ -57,95 +58,27 @@ class NoRepresentationError(Exception):
 # ---------------------------------------------------------------------------
 
 
-class GeneratorPoly:
+class GeneratorPoly(SparsePoly):
     """Polynomial with rational coefficients in named commuting generators.
 
     Monomials are stored as sorted tuples of generator names with
     multiplicity, e.g. G2^2*G4 -> ("G2", "G2", "G4"); the empty tuple is the
-    constant monomial.  Equality is structural.
+    constant monomial.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mon, c in terms.items():
-                mon = tuple(sorted(mon))
-                c = Fraction(c)
-                if c:
-                    clean[mon] = clean.get(mon, Fraction(0)) + c
-                    if not clean[mon]:
-                        del clean[mon]
-        self.terms = clean
+    @staticmethod
+    def _monomial(mon):
+        return tuple(sorted(mon))
+
+    @staticmethod
+    def _mul_monomials(m1, m2):
+        return ((tuple(sorted(m1 + m2)), 1),)
 
     @classmethod
     def generator(cls, name: str) -> "GeneratorPoly":
         return cls({(name,): 1})
-
-    @property
-    def constant(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if isinstance(other, GeneratorPoly):
-            out = dict(self.terms)
-            for m, c in other.terms.items():
-                s = out.get(m, 0) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-            return GeneratorPoly(out)
-        if isinstance(other, (int, Fraction)):
-            return self + GeneratorPoly({(): other})
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GeneratorPoly({m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, GeneratorPoly) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, GeneratorPoly):
-            out = {}
-            for m1, c1 in self.terms.items():
-                for m2, c2 in other.terms.items():
-                    m = tuple(sorted(m1 + m2))
-                    s = out.get(m, 0) + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        out.pop(m, None)
-            return GeneratorPoly(out)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return GeneratorPoly()
-            return GeneratorPoly({m: c * other for m, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GeneratorPoly({m: c / Fraction(other) for m, c in self.terms.items()})
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, GeneratorPoly):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): Fraction(other)} if other else {})
-        return NotImplemented
 
     def evaluate(self, values: dict, one):
         """Substitute ring elements for the generators; ``one`` is the target ring unit."""
@@ -157,38 +90,40 @@ class GeneratorPoly:
             total = total + term
         return total
 
-    def weight(self, weights: dict) -> int:
-        """Largest monomial weight present (0 for a constant)."""
-        return max((sum(weights[n] for n in m) for m in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"
         return format_generator_poly(self, sorted({n for m in self.terms for n in m}))
-
-    def __repr__(self):
-        return f"GeneratorPoly({self.terms!r})"
 
 
 #: Polynomials in named generators as a coefficient ring.
 GENPOLYS = CoeffRing(GeneratorPoly(), GeneratorPoly({(): 1}))
 
 
+def _ordered_monomials(poly: GeneratorPoly, names: Sequence[str],
+                       weights: Optional[dict] = None) -> list:
+    """The non-constant monomials of ``poly`` in display order.
+
+    Monomials are ordered by (total weight, exponent vector) with the
+    exponent vector taken in the declared generator order and compared
+    reverse-lexicographically, so e.g. G2^2 precedes G4.  Without
+    ``weights`` the i-th name has weight i + 1.
+    """
+    weights = weights or {n: i + 1 for i, n in enumerate(names)}
+    return sorted((m for m in poly.terms if m),
+                  key=lambda m: (sum(weights[n] for n in m), tuple(-m.count(n) for n in names)))
+
+
 def format_generator_poly(poly: GeneratorPoly, names: Sequence[str],
                           weights: Optional[dict] = None) -> str:
     """Render a generator polynomial deterministically.
 
-    Monomials are ordered by (total weight, exponent vector) with the
-    exponent vector taken in the declared generator order and compared
-    reverse-lexicographically, so e.g. G2^2 precedes G4; the constant term
-    comes last.
+    Monomials come by total weight, then by exponent vector in the declared
+    generator order, larger exponents first (:func:`_ordered_monomials`,
+    which the JSON ``terms`` of ``macmahon express`` share); the constant
+    term comes last.
     """
     names = list(names)
-    weights = weights or {n: i + 1 for i, n in enumerate(names)}
-
-    def key(mon):
-        exps = tuple(-mon.count(n) for n in names)
-        return (sum(weights[n] for n in mon), exps)
 
     def mon_str(mon):
         out = []
@@ -201,8 +136,7 @@ def format_generator_poly(poly: GeneratorPoly, names: Sequence[str],
         return "*".join(out)
 
     pieces = []
-    mons = sorted((m for m in poly.terms if m), key=key)
-    for mon in mons:
+    for mon in _ordered_monomials(poly, names, weights):
         c = poly.terms[mon]
         body = mon_str(mon)
         pieces.append(body if c == 1 else f"{c}*{body}")

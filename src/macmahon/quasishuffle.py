@@ -11,9 +11,12 @@ with the unit word acting as identity.  The harmonic case
 the multiplication rule satisfied by nested divisor sums and by multiple
 zeta values and is the one used everywhere else in this package.
 
-Linear combinations of words (class :class:`WordCombo`) implement the whole
-coefficient-ring protocol, so they can be used as coefficients of the
-generic :class:`~macmahon.series.Series` engine.  That is how
+Linear combinations of words (class :class:`WordCombo`) are sparse
+polynomials whose monomials are words: their sums, scalar multiples and
+bilinear product are those of :class:`~macmahon.series.SparsePoly`, and the
+algebra supplies only the product of two words, memoised in its cache.  So
+combinations can be used as coefficients of the generic
+:class:`~macmahon.series.Series` engine.  That is how
 :meth:`QuasiShuffleAlgebra.exp_identity_check` verifies, inside the algebra
 itself, the exponential identity
 
@@ -24,94 +27,52 @@ relating concatenation powers a^n to diamond powers a^<>n of a letter.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .series import CoeffRing, Series, _reject_float
+from .series import CoeffRing, Series, SparsePoly
 
 
 def harmonic_diamond(a: int, b: int) -> int:
     return a + b
 
 
-class WordCombo:
+class WordCombo(SparsePoly):
     """A finite rational linear combination of words of one algebra.
 
     ``terms`` maps words (tuples of letter indices) to nonzero coefficients;
-    equality is structural.
+    the product is the quasi-shuffle product of ``algebra``, and combinations
+    of two different algebras do not mix (``ValueError``).
     """
 
-    __slots__ = ("algebra", "terms")
+    __slots__ = ("algebra",)
 
     def __init__(self, algebra: "QuasiShuffleAlgebra", terms=None):
-        clean = {}
-        if terms:
-            for w, c in terms.items():
-                w = tuple(int(x) for x in w)
-                if any(x < 1 for x in w):
-                    raise ValueError("letter indices must be >= 1")
-                _reject_float(c)
-                if c:
-                    clean[w] = c
         self.algebra = algebra
-        self.terms = clean
+        super().__init__(terms)
 
-    def __bool__(self):
-        return bool(self.terms)
+    def _new(self, terms: dict) -> "WordCombo":
+        out = self._from_terms(terms)
+        out.algebra = self.algebra
+        return out
 
-    def _check_same(self, other: "WordCombo"):
-        if self.algebra is not other.algebra:
+    def _peer(self, other) -> bool:
+        if type(other) is not WordCombo:
+            return False
+        if other.algebra is not self.algebra:
             raise ValueError("cannot mix combinations from different algebras")
+        return True
 
-    def __add__(self, other):
-        if isinstance(other, WordCombo):
-            self._check_same(other)
-            out = dict(self.terms)
-            for w, c in other.terms.items():
-                s = out.get(w, 0) + c
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-            return WordCombo(self.algebra, out)
-        if isinstance(other, (int, Fraction)):
-            return self + WordCombo(self.algebra, {(): other})
-        return NotImplemented
+    @staticmethod
+    def _monomial(word):
+        word = tuple(operator.index(x) for x in word)
+        if any(x < 1 for x in word):
+            raise ValueError("letter indices must be >= 1")
+        return word
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return WordCombo(self.algebra, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, WordCombo) else -Fraction(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, WordCombo):
-            self._check_same(other)
-            return self.algebra.product(self, other)
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return WordCombo(self.algebra)
-            return WordCombo(self.algebra, {w: c * other for w, c in self.terms.items()})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / other)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if isinstance(other, WordCombo):
-            return self.terms == other.terms
-        if isinstance(other, (int, Fraction)):
-            return self.terms == ({(): Fraction(other)} if other else {})
-        return NotImplemented
+    def _mul_monomials(self, u, v):
+        return self.algebra._product_words(u, v).items()
 
     def __str__(self):
         if not self.terms:
@@ -122,9 +83,6 @@ class WordCombo:
             name = "1" if not w else "".join(f"z{k}" for k in w)
             parts.append(name if c == 1 and w else f"{c}*{name}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"WordCombo({self.terms!r})"
 
 
 class QuasiShuffleAlgebra:
@@ -181,19 +139,10 @@ class QuasiShuffleAlgebra:
         return out
 
     def product(self, x, y) -> WordCombo:
-        """Quasi-shuffle product, extended bilinearly to combinations."""
+        """Quasi-shuffle product of two words (tuples) or combinations."""
         x = x if isinstance(x, WordCombo) else self.word(*x)
         y = y if isinstance(y, WordCombo) else self.word(*y)
-        out = {}
-        for u, cu in x.terms.items():
-            for v, cv in y.terms.items():
-                for w, c in self._product_words(u, v).items():
-                    s = out.get(w, 0) + cu * cv * c
-                    if s:
-                        out[w] = s
-                    else:
-                        out.pop(w, None)
-        return WordCombo(self, out)
+        return x * y
 
     def star_power(self, letter: int, n: int) -> WordCombo:
         """n-fold quasi-shuffle power of the single-letter word."""

@@ -8,7 +8,15 @@ covers every nesting used in this package:
 * series in q over `Fraction` (divisor generating functions),
 * series in q over :class:`LambdaPoly` (weight-graded expansions),
 * series in X or T whose coefficients are themselves series in q,
-* series in X over polynomials in named generators.
+* series in X over polynomials in named generators,
+* series in T over linear combinations of quasi-shuffle words.
+
+The three polynomial rings, L-polynomials (:class:`LambdaPoly`),
+polynomials in named generators (:class:`~macmahon.identities.GeneratorPoly`)
+and combinations of words (:class:`~macmahon.quasishuffle.WordCombo`), are
+thin subclasses of :class:`SparsePoly`, which holds their one copy of the
+sparse ``{monomial: coefficient}`` arithmetic; each subclass adds only its
+monomials, their product and its rendering.
 
 Truncation is explicit and lossy: a binary operation returns a series whose
 order is the minimum of the operands' orders, i.e. exactly the range of
@@ -49,6 +57,7 @@ Costs, for order n and coefficient products counted as one step each:
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
@@ -92,110 +101,152 @@ class CoeffRing:
 RATIONALS = CoeffRing(Fraction(0), Fraction(1))
 
 
-class LambdaPoly:
-    """Polynomial in the formal weight symbol L = (2*pi*i)^2.
+class SparsePoly:
+    """Sparse polynomial with rational coefficients, ``terms = {monomial: coefficient}``.
 
-    Keeps track of the powers of 2*pi*i attached to weight-graded objects;
-    under this convention pi^2 = -L/4.  Stored sparsely as
-    ``{exponent: Fraction}`` with no zero entries, so equality is
-    structural.  The L^0 part is the purely rational component.
+    Coefficients are ints or `Fraction`s and no zero one is stored, so
+    equality is structural.  A subclass says what a monomial is: ``UNIT``,
+    the monomial of the constants; :meth:`_monomial`, which checks and
+    normalises a monomial given to the public constructor; and
+    :meth:`_mul_monomials`, the product of two monomials as
+    ``(monomial, multiplicity)`` pairs.  Sums, negation, scalar products and
+    quotients by an int or `Fraction`, ``==`` (a scalar is the constant
+    polynomial) and the one bilinear product live here.  Only the public
+    constructor validates; every arithmetic result is built by :meth:`_new`
+    from a fresh dict that is already canonical.  Polynomials of two
+    different subclasses do not mix: their sums and products raise
+    ``TypeError``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("terms",)
 
-    def __init__(self, coeffs=None):
+    UNIT = ()
+
+    def __init__(self, terms=None):
         clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                e = int(e)
-                if e < 0:
-                    raise ValueError("negative L exponent")
-                c = Fraction(_reject_float(c))
-                if c:
-                    clean[e] = c
-        self.coeffs = clean
+        for mon, c in (terms or {}).items():
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise TypeError("exact arithmetic only: coefficients must be int or Fraction, "
+                                f"not {type(c).__name__}")
+            mon = self._monomial(mon)
+            clean[mon] = clean.get(mon, 0) + c
+        self.terms = {m: c for m, c in clean.items() if c}
 
     @classmethod
-    def term(cls, exponent: int, coeff=1) -> "LambdaPoly":
-        return cls({exponent: Fraction(coeff)})
+    def _from_terms(cls, terms: dict) -> "SparsePoly":
+        """The polynomial holding ``terms`` as they are: canonical, and not shared."""
+        self = object.__new__(cls)
+        self.terms = terms
+        return self
+
+    def _new(self, terms: dict) -> "SparsePoly":
+        """A polynomial of this one's kind from canonical ``terms``."""
+        return self._from_terms(terms)
+
+    def _peer(self, other) -> bool:
+        return type(other) is type(self)
 
     @property
-    def constant(self) -> Fraction:
-        return self.coeffs.get(0, Fraction(0))
-
-    def exponents(self):
-        return set(self.coeffs)
-
-    def is_homogeneous(self, degree: int) -> bool:
-        """True when every monomial (if any) has exponent ``degree``."""
-        return all(e == degree for e in self.coeffs)
+    def constant(self):
+        return self.terms.get(self.UNIT, Fraction(0))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __add__(self, other):
-        if isinstance(other, LambdaPoly):
-            out = dict(self.coeffs)
-            for e, c in other.coeffs.items():
-                s = out.get(e, 0) + c
+        if self._peer(other):
+            out = dict(self.terms)
+            for m, c in other.terms.items():
+                s = out.get(m, 0) + c
                 if s:
-                    out[e] = s
+                    out[m] = s
                 else:
-                    out.pop(e, None)
-            return LambdaPoly(out)
+                    del out[m]
+            return self._new(out)
         if isinstance(other, (int, Fraction)):
-            return self + LambdaPoly({0: other})
+            return self + self._new({self.UNIT: other} if other else {})
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LambdaPoly({e: -c for e, c in self.coeffs.items()})
+        return self._new({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, LambdaPoly) else LambdaPoly({0: -Fraction(other)}))
+        if self._peer(other) or isinstance(other, (int, Fraction)):
+            return self + (-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        return (-self) + other
+        if isinstance(other, (int, Fraction)):
+            return (-self) + other
+        return NotImplemented
 
     def __mul__(self, other):
-        if isinstance(other, LambdaPoly):
+        if self._peer(other):
+            mul = self._mul_monomials
             out = {}
-            for e1, c1 in self.coeffs.items():
-                for e2, c2 in other.coeffs.items():
-                    e = e1 + e2
-                    s = out.get(e, 0) + c1 * c2
-                    if s:
-                        out[e] = s
-                    else:
-                        out.pop(e, None)
-            return LambdaPoly(out)
+            for m1, c1 in self.terms.items():
+                for m2, c2 in other.terms.items():
+                    c = c1 * c2
+                    for m, k in mul(m1, m2):
+                        out[m] = out.get(m, 0) + (c if k == 1 else c * k)
+            return self._new({m: c for m, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return LambdaPoly()
-            return LambdaPoly({e: c * other for e, c in self.coeffs.items()})
+            return self._new({m: c * other for m, c in self.terms.items()} if other else {})
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LambdaPoly({e: c / Fraction(other) for e, c in self.coeffs.items()})
+            return self * Fraction(1, other)
         return NotImplemented
 
     def __eq__(self, other):
-        if isinstance(other, LambdaPoly):
-            return self.coeffs == other.coeffs
+        if self._peer(other):
+            return self.terms == other.terms
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == ({0: Fraction(other)} if other else {})
+            return self.terms == ({self.UNIT: other} if other else {})
         return NotImplemented
 
+    def __repr__(self):
+        return f"{type(self).__name__}({self.terms!r})"
+
+
+class LambdaPoly(SparsePoly):
+    """Polynomial in the formal weight symbol L = (2*pi*i)^2.
+
+    Keeps track of the powers of 2*pi*i attached to weight-graded objects;
+    under this convention pi^2 = -L/4.  ``terms`` maps exponents e >= 0 to
+    coefficients; the L^0 part is the purely rational component.
+    """
+
+    __slots__ = ()
+
+    UNIT = 0
+
+    @staticmethod
+    def _monomial(e):
+        e = operator.index(e)
+        if e < 0:
+            raise ValueError("negative L exponent")
+        return e
+
+    @staticmethod
+    def _mul_monomials(e1, e2):
+        return ((e1 + e2, 1),)
+
+    def is_homogeneous(self, degree: int) -> bool:
+        """True when every monomial (if any) has exponent ``degree``."""
+        return all(e == degree for e in self.terms)
+
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.coeffs):
-            c = self.coeffs[e]
+        for e in sorted(self.terms):
+            c = self.terms[e]
             if e == 0:
                 parts.append(str(c))
             elif c == 1:
@@ -203,9 +254,6 @@ class LambdaPoly:
             else:
                 parts.append(f"{c}*L" if e == 1 else f"{c}*L^{e}")
         return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"LambdaPoly({self.coeffs!r})"
 
 
 #: Polynomials in L = (2*pi*i)^2 as a coefficient ring.
@@ -277,7 +325,7 @@ class Series:
             self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
             self._den = den
         elif ring is LAMBDAS and all(isinstance(c, (int, Fraction, LambdaPoly)) for c in coeffs):
-            terms = [c.coeffs.items() if isinstance(c, LambdaPoly) else ((0, c),) for c in coeffs]
+            terms = [c.terms.items() if isinstance(c, LambdaPoly) else ((0, c),) for c in coeffs]
             den = lcm(*(v.denominator for t in terms for _, v in t))
             rows = {}
             for k, t in enumerate(terms):
@@ -345,7 +393,7 @@ class Series:
             else:
                 rows = sorted(self._rows.items())
                 self._coeffs = tuple(
-                    LambdaPoly({e: Fraction(row[k], den) for e, row in rows if row[k]})
+                    LambdaPoly._from_terms({e: Fraction(row[k], den) for e, row in rows if row[k]})
                     for k in range(self._len))
         return self._coeffs
 
@@ -450,7 +498,8 @@ class Series:
         e1 + e2 before the one reduction.  A scalar int or `Fraction`
         scales the numerators and the denominator.  The other rings
         (generator polynomials, quasi-shuffle words, nested series) use the
-        schoolbook convolution, (n + 1)(n + 2)/2 coefficient products.
+        schoolbook convolution, at most (n + 1)(n + 2)/2 coefficient
+        products: pairs with a zero factor are skipped, as in :meth:`exp`.
         """
         if self._is_peer(other):
             n = min(self.order, other.order)
@@ -468,12 +517,17 @@ class Series:
                         e = e1 + e2
                         out[e] = prod if e not in out else [x + y for x, y in zip(out[e], prod)]
                 return Series._from_rows(out, self._den * other._den, n + 1)
-            a, b = self.coeffs, other.coeffs
+            zero, b = self.ring.zero, other.coeffs
+            a = [(i, c) for i, c in enumerate(self.coeffs[: n + 1]) if not c == zero]
+            b_nonzero = [not c == zero for c in b[: n + 1]]
             out = []
             for k in range(n + 1):
-                acc = a[0] * b[k]
-                for i in range(1, k + 1):
-                    acc = acc + a[i] * b[k - i]
+                acc = zero
+                for i, c in a:
+                    if i > k:
+                        break
+                    if b_nonzero[k - i]:
+                        acc = acc + c * b[k - i]
                 out.append(acc)
             return Series(tuple(out), self.ring)
         if isinstance(other, Series) and other._series_depth > self._series_depth:

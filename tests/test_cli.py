@@ -127,6 +127,19 @@ class TestExpressCommand:
         assert payload["underdetermined"] is False
         assert {"monomial": {"G2": 2}, "coefficient": "1/2"} in payload["terms"]
 
+    def test_a3_json_terms_follow_polynomial_order(self, capsys):
+        code, out, _ = run(capsys, "express", "--target", "A:3", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)["payload"]
+        pieces = []
+        for term in payload["terms"]:
+            body = "*".join(n if e == 1 else f"{n}^{e}" for n, e in term["monomial"].items())
+            c = term["coefficient"]
+            pieces.append(body if c == "1" else f"{c}*{body}")
+        pieces.append(payload["constant"])
+        assert len(pieces) == 7
+        assert " + ".join(pieces).replace("+ -", "- ") == payload["polynomial"]
+
     def test_usage_errors(self, capsys):
         assert run(capsys, "express", "--target", "B:1")[0] == 1
         assert run(capsys, "express", "--target", "A:0")[0] == 1

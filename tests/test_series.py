@@ -1,5 +1,6 @@
 """Tests for the truncated power series engine."""
 
+import operator
 import random
 from fractions import Fraction as F
 from math import comb, factorial, gcd
@@ -17,7 +18,7 @@ from macmahon.series import (
 )
 from macmahon.identities import GENPOLYS, GeneratorPoly
 from macmahon.qseries import eisenstein, eisenstein_odd
-from macmahon.quasishuffle import QuasiShuffleAlgebra
+from macmahon.quasishuffle import HARMONIC, QuasiShuffleAlgebra
 
 
 def lift_rationals(f, ring):
@@ -277,6 +278,55 @@ class TestLambdaPoly:
         assert sq == Series([LambdaPoly({2: 1}), LambdaPoly({1: 2})], LAMBDAS)
 
 
+class TestSparsePoly:
+    """The constructor and the kind checks shared by the three polynomial types."""
+
+    KINDS = [(LambdaPoly, 2), (GeneratorPoly, ("G4", "G2")), (HARMONIC.combo, (2, 1))]
+
+    @pytest.mark.parametrize("make, mon", KINDS)
+    def test_only_int_and_fraction_coefficients(self, make, mon):
+        for bad in (0.1, "1/2", 1j, None, True):
+            with pytest.raises(TypeError):
+                make({mon: bad})
+        p = make({mon: F(1, 2)})
+        assert list(p.terms.values()) == [F(1, 2)]
+        assert make({mon: 3}) == p * 6
+        assert not make({mon: 0}).terms and not make({mon: F(0)}).terms
+
+    def test_monomials_are_checked_and_normalised(self):
+        assert GeneratorPoly({("G4", "G2"): 1, ("G2", "G4"): F(1, 2)}).terms == {
+            ("G2", "G4"): F(3, 2)}
+        assert not GeneratorPoly({("G4", "G2"): 1, ("G2", "G4"): -1})
+        for bad in (-1, "2", 1.0):
+            with pytest.raises((TypeError, ValueError)):
+                LambdaPoly({bad: 1})
+        for bad in ((0,), (2, -1), (2.0,)):
+            with pytest.raises((TypeError, ValueError)):
+                HARMONIC.combo({bad: 1})
+
+    def test_kinds_do_not_mix(self):
+        polys = [LambdaPoly({1: 2}), GeneratorPoly({("G2",): 2}), HARMONIC.word(2)]
+        for x in polys:
+            for y in polys:
+                if x is y:
+                    continue
+                assert x != y
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                    with pytest.raises(TypeError):
+                        op(x, y)
+        other = QuasiShuffleAlgebra(max)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(HARMONIC.word(2), other.word(2))
+
+    def test_products_own_their_terms(self):
+        algebra = QuasiShuffleAlgebra()
+        x = algebra.product((2,), (3, 1))
+        cached = algebra._cache[((2,), (3, 1))]
+        assert x.terms == cached and x.terms is not cached
+        assert algebra.product((), (2,)).terms is not algebra.product((), (2,)).terms
+
+
 class TestKroneckerProduct:
     """Rational products against a schoolbook convolution written here."""
 
@@ -384,8 +434,8 @@ class TestLambdaProduct:
         # terms that cancel across exponent pairs leave no zero entries behind
         x = [LambdaPoly({0: 1, 1: 1}), LambdaPoly({0: 1, 1: -1})]
         prod = Series(x, LAMBDAS) * Series([LambdaPoly({0: 1, 1: -1}), LambdaPoly()], LAMBDAS)
-        assert prod.coeffs[0].coeffs == {0: F(1), 2: F(-1)}
-        assert prod.coeffs[1].coeffs == {0: F(1), 1: F(-2), 2: F(1)}
+        assert prod.coeffs[0].terms == {0: F(1), 2: F(-1)}
+        assert prod.coeffs[1].terms == {0: F(1), 1: F(-2), 2: F(1)}
 
     def test_order_zero_and_unequal_orders(self):
         self.check([LambdaPoly({1: F(-2, 3), 3: 5})], [LambdaPoly({0: F(9, 4)})])
@@ -530,8 +580,14 @@ class TestLambdaRows:
             prod = outer(a) * outer(b)
             for got, want in zip(prod.coeffs, self.nested_product(a, b), strict=True):
                 self.check(got, want)
-            one = [LambdaPoly({0: 1})] + [LambdaPoly()] * q_order
             zero = [LambdaPoly()] * (q_order + 1)
+            # odd-only outer coefficients, like Z(T): a whole zero series in every other slot
+            odd = [row if k % 2 else zero for k, row in enumerate(a)]
+            for x, y in ((odd, b), (b, odd), (odd, odd)):
+                prod = outer(x) * outer(y)
+                for got, want in zip(prod.coeffs, self.nested_product(x, y), strict=True):
+                    self.check(got, want)
+            one = [LambdaPoly({0: 1})] + [LambdaPoly()] * q_order
             term = total = [one] + [zero] * x_order
             for j in range(1, x_order + 1):
                 term = [[c / j for c in row] for row in self.nested_product(term, f)]

@@ -10,6 +10,8 @@ from math import gcd  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from macmahon.identities import GeneratorPoly  # noqa: E402
+from macmahon.quasishuffle import QuasiShuffleAlgebra  # noqa: E402
 from macmahon.series import LAMBDAS, RATIONALS, LambdaPoly, Series, series_ring  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -222,3 +224,68 @@ def test_lambda_rows_match_lambda_polys(a, b, c):
     assert_rows_canonical(x * y, schoolbook(a, b))
     assert x * y == Series(schoolbook(a, b), LAMBDAS)  # the same series by two routes
     assert (x + y) - y == x.truncate(min(len(a), len(b)) - 1)
+
+
+# -- the ring laws of the sparse polynomials -----------------------------------
+#
+# L-polynomials, generator polynomials and combinations of harmonic words are
+# one sparse-polynomial type with three kinds of monomial.  Each kind is
+# checked for the commutative-ring laws, its units, scalars acting as constant
+# polynomials, and the canonical form of every result.
+
+poly_coeffs = st.one_of(st.just(0), st.integers(-9, 9),
+                        st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+WORDS = QuasiShuffleAlgebra()  # harmonic, with a cache of its own
+
+
+def polys(monomials, make, terms=4):
+    return st.dictionaries(monomials, poly_coeffs, max_size=terms).map(make)
+
+
+def assert_poly_canonical(p, kind):
+    assert type(p) is kind
+    assert all(c and type(c) in (int, F) for c in p.terms.values())
+    if kind is GeneratorPoly:
+        assert all(list(m) == sorted(m) for m in p.terms)
+
+
+def check_ring_laws(x, y, z, s, const):
+    """Ring laws on x, y, z and the scalar s; const(c) is c as a constant polynomial."""
+    zero, one = const(0), const(1)
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert (x + y) * (x - y) == x * x - y * y  # the cross terms cancel inside one product
+    assert x + zero == x == x * one and x * zero == zero == x - x
+    assert x + 0 == x == x * 1 and x * 0 == 0
+    assert x * s == s * x == x * const(s)
+    assert x + s == s + x == x + const(s)
+    assert x - s == x - const(s) and s - x == const(s) - x
+    results = [x + y, x - y, -x, x * y, (x * y) * z, x * (y + z), (x + y) * (x - y),
+               x * s, x + s, s - x]
+    if s:
+        assert x / s == x * const(F(1, s))
+        results.append(x / s)
+    for p in results:
+        assert_poly_canonical(p, type(x))
+
+
+@PROPERTY
+@given(*[polys(st.integers(0, 6), LambdaPoly)] * 3, poly_coeffs)
+def test_lambda_polys_form_a_ring(x, y, z, s):
+    check_ring_laws(x, y, z, s, lambda c: LambdaPoly({0: c}))
+
+
+@PROPERTY
+@given(*[polys(st.lists(st.sampled_from(("G2", "G4", "Go2")), max_size=3).map(tuple),
+               GeneratorPoly)] * 3, poly_coeffs)
+def test_generator_polys_form_a_ring(x, y, z, s):
+    check_ring_laws(x, y, z, s, lambda c: GeneratorPoly({(): c}))
+
+
+@PROPERTY
+@given(*[polys(st.lists(st.integers(1, 4), max_size=3).map(tuple), WORDS.combo, 3)] * 3,
+       poly_coeffs)
+def test_word_combos_form_a_ring(x, y, z, s):
+    check_ring_laws(x, y, z, s, lambda c: WORDS.combo({(): c}))
