@@ -24,10 +24,11 @@ import sys
 from . import __version__
 from .identities import (
     NoRepresentationError,
-    _monomials_up_to_weight,
+    _candidate_monomials,
     _ordered_monomials,
     express_in_generators,
     format_generator_poly,
+    generator_names,
     lemma_combinatorial_check,
     verify_exp_quasi_shuffle,
     verify_geng22,
@@ -184,18 +185,7 @@ def _cmd_verify(args) -> int:
 # express
 # ---------------------------------------------------------------------------
 
-_GEN_NAME = re.compile(r"^G(o?)(\d+)$")
-
-
-def _generator_from_name(name: str, order: int):
-    m = _GEN_NAME.match(name)
-    if not m:
-        raise UsageError(f"unknown generator {name!r}; expected e.g. G2 or Go4")
-    weight = int(m.group(2))
-    if weight < 2 or weight % 2:
-        raise UsageError(f"generator {name!r} needs an even weight >= 2")
-    series = (eisenstein_odd if m.group(1) else eisenstein)(weight, order)
-    return (name, weight, series)
+_GEN_NAME = re.compile(r"^Go?(\d+)$")
 
 
 def _cmd_express(args) -> int:
@@ -208,22 +198,25 @@ def _cmd_express(args) -> int:
     weight_bound = args.weight_bound if args.weight_bound else 2 * r
 
     if args.generators == "auto":
-        prefix = "G" if side == "A" else "Go"
-        names = [f"{prefix}{2 * j}" for j in range(1, r + 1)]
+        pairs = generator_names(side, r)
+        names, weights = [n for n, _ in pairs], [w for _, w in pairs]
     else:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
         if not names:
             raise UsageError("no generators given")
+        weights = [int(m.group(1)) if (m := _GEN_NAME.match(n)) else 0 for n in names]
+        if any(w < 2 for w in weights):
+            raise UsageError("generators must look like G2, G4, Go2, ...")
+        odd = next((n for n, w in zip(names, weights) if w % 2), None)
+        if odd:
+            raise UsageError(f"generator {odd!r} needs an even weight >= 2")
 
-    # the monomial count fixes the minimal solve window
-    probe = [(_GEN_NAME.match(n) and int(_GEN_NAME.match(n).group(2))) or 0 for n in names]
-    if any(w < 2 for w in probe):
-        raise UsageError("generators must look like G2, G4, Go2, ...")
-    n_monomials = len(_monomials_up_to_weight(probe, weight_bound))
-    q_order = args.q_order if args.q_order else max(30, n_monomials + 10)
+    _, min_order = _candidate_monomials(weights, weight_bound)
+    q_order = args.q_order if args.q_order else max(30, min_order)
     full_order = 2 * q_order
 
-    generators = [_generator_from_name(n, full_order) for n in names]
+    generators = [(n, w, (eisenstein_odd if n.startswith("Go") else eisenstein)(w, full_order))
+                  for n, w in zip(names, weights)]
     target = (macmahon_a if side == "A" else macmahon_c)(r, full_order)
 
     params = {"target": args.target, "generators": names,
@@ -237,11 +230,11 @@ def _cmd_express(args) -> int:
               f"no representation of {args.target} at weight bound {weight_bound}: {exc}")
         return EXIT_MISMATCH
 
-    weights = {n: w for n, w, _ in generators}
-    rendered = format_generator_poly(rep.poly, names, weights)
+    weight_of = dict(zip(names, weights))
+    rendered = format_generator_poly(rep.poly, names, weight_of)
     terms = [{"monomial": {n: mon.count(n) for n in names if n in mon},
               "coefficient": str(rep.poly.terms[mon])}
-             for mon in _ordered_monomials(rep.poly, names, weights)]
+             for mon in _ordered_monomials(rep.poly, names, weight_of)]
     payload = {
         "status": "ok",
         "polynomial": rendered,

@@ -254,28 +254,27 @@ def _first_mismatch(identity: str, params: dict, lhs: Series, rhs: Series,
     return VerdictReport(identity, params, "verified")
 
 
-def verify_main_a(q_order: int, x_order: int) -> VerdictReport:
-    """Coefficientwise check of the A_r generating identity on a finite window."""
+def _verify_main(odd: bool, q_order: int, x_order: int) -> VerdictReport:
+    """The A_r (or, with ``odd``, the C_r) generating identity on a finite window."""
     _validate_window(q_order, x_order)
     y_order = x_order // 2
     inner = series_ring(RATIONALS, q_order)
-    gens = {j: eisenstein(2 * j, q_order) for j in range(1, y_order + 1)}
-    rhs = _generating_rhs(gens, y_order, inner, prefactor=True)
-    lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=False), inner)
-    return _first_mismatch("main-a", {"q_order": q_order, "x_order": x_order}, lhs, rhs,
-                           "x_exp", 2)
+    gen = eisenstein_odd if odd else eisenstein
+    gens = {j: gen(2 * j, q_order) for j in range(1, y_order + 1)}
+    rhs = _generating_rhs(gens, y_order, inner, prefactor=not odd)
+    lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=odd), inner)
+    return _first_mismatch("main-c" if odd else "main-a",
+                           {"q_order": q_order, "x_order": x_order}, lhs, rhs, "x_exp", 2)
+
+
+def verify_main_a(q_order: int, x_order: int) -> VerdictReport:
+    """Coefficientwise check of the A_r generating identity on a finite window."""
+    return _verify_main(False, q_order, x_order)
 
 
 def verify_main_c(q_order: int, x_order: int) -> VerdictReport:
     """Coefficientwise check of the C_r generating identity on a finite window."""
-    _validate_window(q_order, x_order)
-    y_order = x_order // 2
-    inner = series_ring(RATIONALS, q_order)
-    gens = {j: eisenstein_odd(2 * j, q_order) for j in range(1, y_order + 1)}
-    rhs = _generating_rhs(gens, y_order, inner, prefactor=False)
-    lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=True), inner)
-    return _first_mismatch("main-c", {"q_order": q_order, "x_order": x_order}, lhs, rhs,
-                           "x_exp", 2)
+    return _verify_main(True, q_order, x_order)
 
 
 def generator_names(side: str, r_max: int) -> list:
@@ -317,8 +316,16 @@ class Representation:
     verify_order: int
 
 
-def _monomials_up_to_weight(weights: Sequence[int], bound: int) -> list:
-    """Exponent vectors with sum of weights <= bound, graded-lex ordered."""
+_SOLVE_MARGIN = 10  # solve-window coefficients beyond one per candidate monomial
+
+
+def _candidate_monomials(weights: Sequence[int], bound: int) -> tuple:
+    """The candidate monomials of :func:`express_in_generators` and its least q_order.
+
+    The candidates are the exponent vectors with sum of weights <= bound,
+    graded-lex ordered; the solve window needs one q-coefficient per
+    candidate plus ``_SOLVE_MARGIN``.
+    """
     out = []
 
     def rec(i, exps, weight):
@@ -334,7 +341,7 @@ def _monomials_up_to_weight(weights: Sequence[int], bound: int) -> list:
     rec(0, [], 0)
     out.sort(key=lambda exps: (sum(e * w for e, w in zip(exps, weights)),
                                tuple(-e for e in exps)))
-    return out
+    return out, len(out) + _SOLVE_MARGIN
 
 
 def _bareiss_echelon(rows: list) -> tuple:
@@ -425,10 +432,10 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
         raise ValueError(f"target and generator series need order >= {verify_order} "
                          "(solve window plus re-verification window)")
 
-    exps_list = _monomials_up_to_weight([w for _, w, _ in gens], weight_bound)
-    if q_order < len(exps_list) + 10:
-        raise ValueError(f"q_order must be >= number of candidate monomials + 10 "
-                         f"({len(exps_list)} + 10)")
+    exps_list, min_order = _candidate_monomials([w for _, w, _ in gens], weight_bound)
+    if q_order < min_order:
+        raise ValueError(f"q_order must be >= number of candidate monomials + {_SOLVE_MARGIN} "
+                         f"({len(exps_list)} + {_SOLVE_MARGIN})")
 
     powers = []
     one = Series.constant(Fraction(1), verify_order)

@@ -5,36 +5,36 @@ The monotangent and multitangent functions are the ordered sums
     Psi_k(tau)            = sum_{n in Z} (tau + n)^(-k),
     Psi_{k_1,...,k_r}(tau) = sum_{n_1 > ... > n_r} prod_i (tau + n_i)^(-k_i),
 
-for tau in the upper half plane and all exponents >= 2.  A symmetric box
-|n_i| <= cutoff is summed exactly (via cumulative sums, so depth r costs
-O(cutoff * r) and not O(cutoff^r)) and the parts of the sum outside the box
-are restored with Euler-Maclaurin boundary corrections.  For k = 2 the raw
-box sum converges only like 1/cutoff, far too slowly for the tolerances
-used here, so the corrected value is the primary output; the raw partial
-sum, the correction, and bounds for both the raw tail and the neglected
-remainder are all reported alongside.
+for tau in the upper half plane and all exponents >= 2.  One pass of
+cumulative sums over the symmetric box |n_i| <= cutoff (depth r costs
+O(cutoff * r), not O(cutoff^r)) gives the raw box sum and the value with
+Euler-Maclaurin boundary corrections for the parts outside the box.  For
+k = 2 the raw sum converges only like 1/cutoff, so the corrected value is
+the primary output; the raw sum, the correction, and bounds for the raw
+tail and the neglected remainder are reported alongside.
 
-``lipschitz_value`` gives the independent q-expansion evaluation
-(-2*pi*i)^k/(k-1)! * sum_d d^(k-1) q^d of the same monotangent, and
-``eval_qseries_at`` sums the defining double sums of the divisor series at
-a numeric q in (0, 1), which feeds the radius-of-convergence limit check
+Every q-side sum is built on sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1),
+A_n the Eulerian polynomial (``_power_sum``, for scalars and arrays).
+``lipschitz_value`` is the q-expansion (-2*pi*i)^k/(k-1)! * sum_d d^(k-1) q^d
+of the monotangent.  ``eval_qseries_at`` sums A_r, C_r, G_k and Go_k at a
+numeric q in (0, 1) as nested sums over part sizes m_1 > ... > m_r of
+f(m) = sum_d d^(k-1) q^(m*d)/(k-1)!, which feeds the limit check
 
     (1-q)^(2r) A_r(q)  ->  pi^(2r)/(2r+1)!   as q -> 1.
 
-A_r and C_r are nested sums over part sizes m_1 > ... > m_r, summed by the
-same cumulative-sum idiom as the lattice sums: the sizes go in numpy
-chunks of fixed length, so the cost is O(terms * r) vectorised operations
-and the memory does not grow with the number of terms (up to millions
-near q = 1).
+The sizes go in numpy chunks of fixed length, so the cost is O(terms * r)
+vectorised operations and the memory does not grow with the number of
+terms (up to millions near q = 1).
 
-numpy is imported by the two functions that use it, on their first call,
-so the exact layers and the CLI commands that need no numerics do not pay
-its import time and memory.
+numpy is imported by the functions that use it, on their first call, so
+the exact layers and the CLI commands that need no numerics do not pay its
+import time and memory.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -86,36 +86,43 @@ def _one_sided_tail_bound(k: int, tau: complex, n: int) -> float:
     return margin ** (1 - k) / (k - 1)
 
 
-def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int, corrected: bool):
+def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     """Ordered box sum over cutoff >= n_1 > ... > n_r >= -cutoff, by cumulative sums.
 
-    With ``corrected`` the two dominant boundary channels are restored at
-    each depth: the upper seed of the innermost level and, at every level,
-    the lower tail weighted by the full lower-depth value.  A float
-    overflow, division by zero or invalid value in the arrays raises
-    ``FloatingPointError`` instead of warning and going on with inf or nan.
+    Returns ``(corrected, raw)`` from one evaluation of (tau + n)^(-k) per
+    level.  The raw sum is the box sum alone.  The corrected sum restores
+    the two dominant boundary channels at each depth: the upper seed of the
+    innermost level and, at every level, the lower tail weighted by the
+    full lower-depth value.  A float overflow, division by zero or invalid
+    value in the arrays raises ``FloatingPointError`` instead of warning
+    and going on with inf or nan.
     """
     import numpy as np
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         ns = np.arange(cutoff, -cutoff - 1, -1, dtype=np.float64)
+        v = np.empty(len(ns), dtype=np.complex128)
+        scratch = np.empty_like(v) if len(ks) > 1 else None
+        # raw[j] and cor[j] hold a level's sum over the first j lattice points
+        # (raw[0] its seed), so raw[:-1] weights the next level and raw[-1]
+        # is the level's total; every array is reused from level to level
+        raw = np.empty(len(ns) + 1, dtype=np.complex128)
+        cor = np.empty_like(raw)
         psi = 1.0 + 0j
-        level_sum = None
         for i, k in enumerate(ks):
-            v = (tau + ns) ** (-k)
+            np.power(np.add(ns, tau, out=v), -k, out=v)
             if i == 0:
-                seed = _em_tail(k, tau, cutoff + 1, +1) if corrected else 0.0
-                w = v
+                seed = _em_tail(k, tau, cutoff + 1, +1)
+                np.cumsum(v, out=raw[1:])
+                np.add(raw[1:], seed, out=cor[1:])
             else:
                 seed = 0.0  # O(cutoff^-(k_i + k_{i-1} - 1)); folded into neglected_bound
-                w = v * level_sum
-            csum = seed + np.cumsum(w)
-            lower = _em_tail(k, tau, cutoff + 1, -1) * psi if corrected else 0.0
-            psi = complex(csum[-1]) + lower
-            level_sum = np.empty_like(csum)
-            level_sum[0] = seed
-            level_sum[1:] = csum[:-1]
-    return psi
+                np.cumsum(np.multiply(v, raw[:-1], out=scratch), out=raw[1:])
+                np.cumsum(np.multiply(v, cor[:-1], out=v), out=cor[1:])
+            raw[0] = 0.0
+            cor[0] = seed
+            psi = complex(cor[-1]) + _em_tail(k, tau, cutoff + 1, -1) * psi
+    return psi, complex(raw[-1])
 
 
 def _tangent_bounds(ks, tau, cutoff):
@@ -164,8 +171,7 @@ def multitangent(ks, tau: complex, cutoff: int) -> TangentSum:
     tau = _require_tau(tau)
     if cutoff < max(len(ks), int(abs(tau.real)) + 2):
         raise ValueError("cutoff too small for this depth and tau")
-    value = _tangent_engine(ks, tau, cutoff, corrected=True)
-    partial = _tangent_engine(ks, tau, cutoff, corrected=False)
+    value, partial = _tangent_engine(ks, tau, cutoff)
     tail_bound, neglected = _tangent_bounds(ks, tau, cutoff)
     return TangentSum(value, partial, value - partial, tail_bound, neglected)
 
@@ -175,55 +181,78 @@ def monotangent(k: int, tau: complex, cutoff: int) -> TangentSum:
     return multitangent((k,), tau, cutoff)
 
 
-def lipschitz_value(k: int, tau: complex, rel_tol: float = 1e-17,
-                    max_terms: int = 100_000) -> complex:
-    """q-side evaluation (-2*pi*i)^k/(k-1)! * sum_{d>0} d^(k-1) q^d, q = e^(2*pi*i*tau)."""
+@functools.lru_cache(maxsize=None)
+def _eulerian(n: int) -> tuple:
+    """A(n, 0..n-1) of the Eulerian polynomial A_n: exact by the recurrence, then floats."""
+    row = [1]
+    for m in range(2, n + 1):
+        row = [(j + 1) * (row[j] if j < m - 1 else 0) + (m - j) * (row[j - 1] if j else 0)
+               for j in range(m)]
+    return tuple(float(c) for c in row)
+
+
+def _power_sum(n: int, x):
+    """sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1), n >= 1, for a scalar or numpy array x.
+
+    A_n goes by Horner's rule; for n = 1 this is exactly ``x / (1 - x) ** 2``.
+    """
+    coeffs = _eulerian(n)
+    num = x
+    if n > 1:
+        poly = coeffs[-1]
+        for c in coeffs[-2::-1]:
+            poly = poly * x + c
+        num = x * poly
+    return num / (1 - x) ** (n + 1)
+
+
+def lipschitz_value(k: int, tau: complex) -> complex:
+    """q-side evaluation (-2*pi*i)^k/(k-1)! * sum_{d>0} d^(k-1) q^d, q = e^(2*pi*i*tau).
+
+    The d-sum is the closed form ``_power_sum``: no term count, no stopping rule.
+    """
     if k < 2:
         raise DivergenceError("need k >= 2")
     tau = _require_tau(tau)
     q = cmath.exp(2j * cmath.pi * tau)
-    acc = 0j
-    qd = 1.0 + 0j
-    for d in range(1, max_terms + 1):
-        qd *= q
-        term = d ** (k - 1) * qd
-        acc += term
-        if abs(term) < rel_tol * max(abs(acc), 1e-300):
-            break
-    else:
-        raise NonConvergenceError("q-expansion did not converge within the term cap")
-    return (-2j * cmath.pi) ** k / math.factorial(k - 1) * acc
+    return (-2j * cmath.pi) ** k / math.factorial(k - 1) * _power_sum(k - 1, q)
 
 
 @dataclass(frozen=True)
 class SeriesValue:
+    """An ``eval_qseries_at`` value; ``terms`` counts part sizes m, for G_k and Go_k too."""
+
     value: float
     terms: int
     converged: bool
 
 
-def eval_qseries_at(name: str, param: int, q: float, max_terms: int = 5_000_000,
-                    rel_tol: float = 1e-15) -> SeriesValue:
+def eval_qseries_at(name: str, param: int, q: float,
+                    max_terms: int = 5_000_000) -> SeriesValue:
     """Numeric value of A_r, C_r, G_k or Go_k at q in (0, 1), from the defining sums.
 
-    The divisor series are summed as their nested m-sums (numpy cumulative
-    sums over chunks of part sizes, so depth r costs O(terms * r)); the
-    Eisenstein series as their (m, n) double sums.  No truncated
-    coefficient lists are involved, so this is usable arbitrarily close to
-    q = 1, subject to the term cap.
+    All four are ``_eval_macmahon`` sums: A_r and C_r with k = 2, G_k and
+    Go_k at depth 1 plus the constant term of ``qseries.eisenstein``; C_r and
+    Go_k take odd sizes only.  No truncated coefficient lists are involved, so
+    this is usable arbitrarily close to q = 1, subject to the term cap.  Float
+    overflow, division by zero or an invalid value raises ``FloatingPointError``.
     """
     if not 0 < q < 1:
         raise ValueError("q must lie strictly between 0 and 1")
     if name in ("A", "C"):
         if param < 1:
             raise ValueError("need r >= 1")
-        return _eval_macmahon(param, q, odd=(name == "C"), max_terms=max_terms,
-                              rel_tol=rel_tol)
+        return _eval_macmahon(param, q, name == "C", max_terms, 1e-15)
     if name in ("G", "Go"):
         if param < 2 or param % 2:
             raise ValueError("need even k >= 2")
-        return _eval_eisenstein(param, q, odd=(name == "Go"), max_terms=max_terms,
-                                rel_tol=rel_tol)
+        const = 0.0
+        if name == "G":
+            from .qseries import eisenstein
+
+            const = float(eisenstein(param, 0)[0])
+        sums = _eval_macmahon(1, q, name == "Go", max_terms, 1e-15, k=param)
+        return SeriesValue(const + sums.value, sums.terms, sums.converged)
     raise ValueError(f"unknown series name {name!r}")
 
 
@@ -232,12 +261,14 @@ def eval_qseries_at(name: str, param: int, q: float, max_terms: int = 5_000_000,
 _CHUNK = 1 << 16
 
 
-def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float):
+def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float,
+                   k: int = 2) -> SeriesValue:
+    """Sum over part sizes m_1 > ... > m_r of prod f(m_i), f(m) = sum_d d^(k-1) q^(md)/(k-1)!."""
     import numpy as np
 
-    # the tail over m > M of q^m/(1-q^m)^2 is below q^(M+1)/(1-q)^3, so pick
-    # M with q^M < rel_tol * (1-q)^3, plus a few digits of slack
-    need = math.log(rel_tol) + 3 * math.log1p(-q) - 6.0
+    # f(m) <= q^m/(1-q)^k, so the tail over m > M is below q^(M+1)/(1-q)^(k+1):
+    # pick M with q^M < rel_tol * (1-q)^(k+1), plus a few digits of slack
+    need = math.log(rel_tol) + (k + 1) * math.log1p(-q) - 6.0
     m_top = max(1, int(need / math.log(q)) + 1)
     capped = m_top > max_terms
     m_top = min(m_top, max_terms)
@@ -246,67 +277,31 @@ def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float):
     # sums[i] is the sum of prod f(m_j) over m_1 > ... > m_i among the sizes
     # seen so far.  Sizes go downwards in chunks; within a chunk, level i is
     # the cumulative sum of f times level i-1 as it stood before each size
-    # (the ordered-sum idiom of _tangent_engine)
+    # (the ordered-sum idiom of _tangent_engine).  f is summed without its
+    # 1/(k-1)!, which divides the total once per level at the end
     sums = [0.0] * (r + 1)
     step = 2 if odd else 1
     terms = 0
-    for hi in range(m_top, 0, -step * _CHUNK):
-        qm = q ** np.arange(hi, max(hi - step * _CHUNK, 0), -step, dtype=np.float64)
-        f = qm / (1 - qm) ** 2
-        before = np.ones_like(f)  # level 0 is 1 before every size
-        for i in range(1, r + 1):
-            w = f * before
-            w[0] += sums[i]  # seeding the first element keeps the additions sequential
-            csum = np.cumsum(w)
-            before = np.empty_like(csum)
-            before[0] = sums[i]
-            before[1:] = csum[:-1]
-            sums[i] = float(csum[-1])
-        terms += len(f)
-    value = sums[r]
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        for hi in range(m_top, 0, -step * _CHUNK):
+            f = _power_sum(k - 1, q ** np.arange(hi, max(hi - step * _CHUNK, 0), -step,
+                                                 dtype=np.float64))
+            before = np.ones_like(f)  # level 0 is 1 before every size
+            for i in range(1, r + 1):
+                w = f * before
+                w[0] += sums[i]  # seeding the first element keeps the additions sequential
+                csum = np.cumsum(w)
+                before = np.empty_like(csum)
+                before[0] = sums[i]
+                before[1:] = csum[:-1]
+                sums[i] = float(csum[-1])
+            terms += len(f)
+    value = sums[r] / math.factorial(k - 1) ** r
     if capped:
-        nxt = q ** (m_top + 1) / (1 - q) ** 2
+        nxt = q ** (m_top + 1) / (1 - q) ** k
         if nxt > 1e-9 * abs(value):
             raise NonConvergenceError(
                 f"term cap {max_terms} reached with next term ~{nxt:.2e}")
-    return SeriesValue(value, terms, not capped)
-
-
-def _eval_eisenstein(k: int, q: float, odd: bool, max_terms: int, rel_tol: float):
-    const = 0.0
-    if not odd:
-        from .qseries import bernoulli
-
-        const = float(-bernoulli(k) / (2 * math.factorial(k)))
-    acc = 0.0
-    terms = 0
-    m = 1
-    step = 2 if odd else 1
-    capped = False
-    while True:
-        x = q**m
-        inner = 0.0
-        n = 1
-        xn = x
-        while True:
-            term = n ** (k - 1) * xn
-            inner += term
-            terms += 1
-            if term < rel_tol * max(inner, 1e-300) or terms >= max_terms:
-                break
-            n += 1
-            xn *= x
-        acc += inner
-        if terms >= max_terms:
-            capped = True
-            break
-        # the remaining outer terms shrink at least geometrically with ratio ~q
-        if inner * q / (1 - q) < rel_tol * max(acc, 1e-300):
-            break
-        m += step
-    value = const + acc / math.factorial(k - 1)
-    if capped and inner > 1e-9 * abs(value):
-        raise NonConvergenceError(f"term cap {max_terms} reached while summing G series")
     return SeriesValue(value, terms, not capped)
 
 
@@ -341,8 +336,7 @@ class LimitReport:
     rel_error: float
 
 
-def limit_check(r: int, q_grid: Sequence[float], levels: int = 2,
-                max_terms: int = 5_000_000) -> LimitReport:
+def limit_check(r: int, q_grid: Sequence[float]) -> LimitReport:
     """Evaluate (1-q)^(2r) A_r(q) on the grid and extrapolate q -> 1.
 
     The limit is zeta({2}^r) = pi^(2r)/(2r+1)!.  A single-point grid skips
@@ -355,12 +349,12 @@ def limit_check(r: int, q_grid: Sequence[float], levels: int = 2,
         raise ValueError("q_grid must contain values in (0, 1)")
     if list(grid) != sorted(grid):
         raise ValueError("q_grid must increase toward 1")
-    scaled = tuple((1 - q) ** (2 * r) * _eval_macmahon(r, q, False, max_terms, 1e-15).value
+    scaled = tuple((1 - q) ** (2 * r) * _eval_macmahon(r, q, False, 5_000_000, 1e-15).value
                    for q in grid)
     target = math.pi ** (2 * r) / math.factorial(2 * r + 1)
     if len(grid) == 1:
         extrapolated = scaled[0]
     else:
-        extrapolated = richardson(scaled, [1 - q for q in grid], levels)
+        extrapolated = richardson(scaled, [1 - q for q in grid])
     rel = abs(extrapolated - target) / target
     return LimitReport(r, target, grid, scaled, extrapolated, rel)

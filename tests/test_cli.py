@@ -140,6 +140,17 @@ class TestExpressCommand:
         assert len(pieces) == 7
         assert " + ".join(pieces).replace("+ -", "- ") == payload["polynomial"]
 
+    def test_solve_window_is_monomials_plus_ten(self, capsys):
+        # A:3 has 7 candidate monomials in G2, G4, G6 up to weight 6
+        code, out, err = run(capsys, "express", "--target", "A:3", "--q-order", "16")
+        assert code == 1
+        assert out == ""
+        assert "(7 + 10)" in err
+        assert run(capsys, "express", "--target", "A:3", "--q-order", "17")[0] == 0
+        code, out, _ = run(capsys, "express", "--target", "A:3", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["parameters"]["q_order"] == 30
+
     def test_usage_errors(self, capsys):
         assert run(capsys, "express", "--target", "B:1")[0] == 1
         assert run(capsys, "express", "--target", "A:0")[0] == 1
@@ -214,8 +225,9 @@ class TestRobustness:
         assert all(r["status"] == "verified" for r in reports)
 
     def test_nonconvergence_is_exit_one(self, capsys):
-        code, out, err = run(capsys, "numeric", "--check", "monotangent", "--k", "2",
-                             "--tau", "0,0.000001")
+        # q = 1 - 2^-20 needs about 8.6e7 part sizes, past the 5e6 term cap
+        code, out, err = run(capsys, "numeric", "--check", "limit", "--r", "1",
+                             "--grid-k", "20..20")
         assert code == 1
         assert out == ""
         assert err.startswith("error: ")

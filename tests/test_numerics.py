@@ -1,10 +1,12 @@
 """Tests for the floating-point lattice sums and limit checks."""
 
+import itertools
 import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -99,6 +101,19 @@ class TestMultitangent:
             for j in range(i + 1, len(ratios)):
                 assert abs(ratios[i] - ratios[j]) / abs(ratios[i]) < 1e-5
 
+    @pytest.mark.parametrize("ks", [(2,), (3,), (2, 2), (3, 2), (2, 2, 2), (2, 3, 4)])
+    def test_partial_is_the_plain_ordered_box_sum(self, ks):
+        cutoff = 30
+        for tau in (1j, 0.25 + 1j, -0.3 + 0.5j):
+            direct = 0j
+            for ns in itertools.combinations(range(cutoff, -cutoff - 1, -1), len(ks)):
+                term = 1 + 0j
+                for n, k in zip(ns, ks):  # n_1 > ... > n_r
+                    term *= (tau + n) ** (-k)
+                direct += term
+            partial = multitangent(ks, tau, cutoff).partial
+            assert abs(partial - direct) <= 1e-13 * abs(direct)
+
     def test_divergence_guard(self):
         with pytest.raises(DivergenceError):
             multitangent((2, 1), 1j, 100)
@@ -148,6 +163,19 @@ class TestEvalAt:
         coeffs = eisenstein_odd(4, 60)
         coefficient_side = sum(float(coeffs[n]) * 0.5**n for n in range(61))
         assert abs(direct.value - coefficient_side) / coefficient_side < 1e-12
+
+    def test_eisenstein_terms_count_part_sizes(self):
+        # G_2 - G_2's constant is A_1: the same sizes m, each with its whole d-sum
+        g2, a1 = eval_qseries_at("G", 2, 0.9), eval_qseries_at("A", 1, 0.9)
+        assert g2.terms == a1.terms
+        assert g2.value == a1.value - 1 / 24
+
+    def test_eisenstein_float_error_raises_without_warning(self):
+        # (1 - q^m)^40 underflows to zero for q = 1 - 2^-30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                eval_qseries_at("G", 40, 1 - 2.0**-30)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(NonConvergenceError):
