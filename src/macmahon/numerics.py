@@ -6,12 +6,14 @@ The monotangent and multitangent functions are the ordered sums
     Psi_{k_1,...,k_r}(tau) = sum_{n_1 > ... > n_r} prod_i (tau + n_i)^(-k_i),
 
 for tau in the upper half plane and all exponents >= 2.  One pass of
-cumulative sums over the symmetric box |n_i| <= cutoff (depth r costs
-O(cutoff * r), not O(cutoff^r)) gives the raw box sum and the value with
+cumulative sums over the symmetric box |n_i| <= cutoff, walked in blocks of
+fixed length (depth r costs O(cutoff * r) time, not O(cutoff^r), and memory
+independent of the cutoff), gives the raw box sum and the value with
 Euler-Maclaurin boundary corrections for the parts outside the box.  For
 k = 2 the raw sum converges only like 1/cutoff, so the corrected value is
 the primary output; the raw sum, the correction, and bounds for the raw
-tail and the neglected remainder are reported alongside.
+tail and the neglected remainder are reported alongside.  Depth times
+(2 * cutoff + 1) is capped at 10^8 lattice terms, seconds of work.
 
 Every q-side sum is built on sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1),
 A_n the Eulerian polynomial (``_power_sum``, for scalars and arrays).
@@ -22,9 +24,9 @@ f(m) = sum_d d^(k-1) q^(m*d)/(k-1)!, which feeds the limit check
 
     (1-q)^(2r) A_r(q)  ->  pi^(2r)/(2r+1)!   as q -> 1.
 
-The sizes go in numpy chunks of fixed length, so the cost is O(terms * r)
-vectorised operations and the memory does not grow with the number of
-terms (up to millions near q = 1).
+The sizes go in numpy blocks of the same fixed length, so the cost is
+O(terms * r) vectorised operations and the memory does not grow with the
+number of terms (up to millions near q = 1).
 
 numpy is imported by the functions that use it, on their first call, so
 the exact layers and the CLI commands that need no numerics do not pay its
@@ -86,6 +88,15 @@ def _one_sided_tail_bound(k: int, tau: complex, n: int) -> float:
     return margin ** (1 - k) / (k - 1)
 
 
+# points per numpy block in _tangent_engine and part sizes per block in
+# _eval_macmahon: memory stays O(_CHUNK) whatever the cutoff or term count,
+# and each block's arrays stay cache-resident
+_CHUNK = 1 << 14
+
+# multitangent refuses depth * (2 * cutoff + 1) above this many lattice terms
+_MAX_LATTICE_TERMS = 10**8
+
+
 def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     """Ordered box sum over cutoff >= n_1 > ... > n_r >= -cutoff, by cumulative sums.
 
@@ -93,36 +104,68 @@ def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     level.  The raw sum is the box sum alone.  The corrected sum restores
     the two dominant boundary channels at each depth: the upper seed of the
     innermost level and, at every level, the lower tail weighted by the
-    full lower-depth value.  A float overflow, division by zero or invalid
-    value in the arrays raises ``FloatingPointError`` instead of warning
-    and going on with inf or nan.
+    full lower-depth value.
+
+    The points n go from cutoff down to -cutoff in blocks of ``_CHUNK``,
+    so memory is O(_CHUNK) whatever the cutoff.  Each level carries its
+    raw and corrected running totals from block to block and seeds them
+    into the first element of the block's cumulative sum, so every float
+    addition happens in the order of one cumulative sum over the whole
+    box.  A float overflow, division by zero or invalid value in the
+    arrays raises ``FloatingPointError`` instead of warning and going on
+    with inf or nan.
     """
     import numpy as np
 
+    depth = len(ks)
+    size = min(_CHUNK, 2 * cutoff + 1)
+    upper = _em_tail(ks[0], tau, cutoff + 1, +1)
+    # running totals of every level over the points seen so far; only the
+    # innermost level has an upper seed, the others' are O(cutoff^-(k_i +
+    # k_(i-1) - 1)) and folded into neglected_bound
+    raw_tot = [0j] * depth
+    cor_tot = [0j] * depth
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        ns = np.arange(cutoff, -cutoff - 1, -1, dtype=np.float64)
-        v = np.empty(len(ns), dtype=np.complex128)
-        scratch = np.empty_like(v) if len(ks) > 1 else None
-        # raw[j] and cor[j] hold a level's sum over the first j lattice points
-        # (raw[0] its seed), so raw[:-1] weights the next level and raw[-1]
-        # is the level's total; every array is reused from level to level
-        raw = np.empty(len(ns) + 1, dtype=np.complex128)
-        cor = np.empty_like(raw)
-        psi = 1.0 + 0j
-        for i, k in enumerate(ks):
-            np.power(np.add(ns, tau, out=v), -k, out=v)
-            if i == 0:
-                seed = _em_tail(k, tau, cutoff + 1, +1)
-                np.cumsum(v, out=raw[1:])
-                np.add(raw[1:], seed, out=cor[1:])
-            else:
-                seed = 0.0  # O(cutoff^-(k_i + k_{i-1} - 1)); folded into neglected_bound
-                np.cumsum(np.multiply(v, raw[:-1], out=scratch), out=raw[1:])
-                np.cumsum(np.multiply(v, cor[:-1], out=v), out=cor[1:])
-            raw[0] = 0.0
-            cor[0] = seed
-            psi = complex(cor[-1]) + _em_tail(k, tau, cutoff + 1, -1) * psi
-    return psi, complex(raw[-1])
+        offsets = np.arange(0, -size, -1, dtype=np.float64)
+        ns = np.empty(size, dtype=np.float64)
+        v = np.empty(size, dtype=np.complex128)
+        if depth > 1:
+            # raw[j] and cor[j] hold a level's sums over the points before
+            # point j of the block (raw[0] the carried total), so raw[:m]
+            # weights the next level, which writes its own into the spare
+            # pair; the pairs swap at every level.  Every product has its
+            # own output array: numpy rounds an in-place complex product of
+            # one element differently
+            raw, cor, raw_next, cor_next = (np.empty(size + 1, dtype=np.complex128)
+                                            for _ in range(4))
+        for hi in range(cutoff, -cutoff - 1, -size):
+            m = min(size, hi + cutoff + 1)
+            np.add(offsets[:m], hi, out=ns[:m])
+            w = v[:m]
+            for i, k in enumerate(ks):
+                np.power(np.add(ns[:m], tau, out=w), -k, out=w)
+                if i == 0:
+                    w[0] += raw_tot[0]
+                    if depth == 1:
+                        raw_tot[0] = np.cumsum(w, out=w)[-1]
+                    else:
+                        np.cumsum(w, out=raw[1:m + 1])
+                        raw[0] = raw_tot[0]
+                        raw_tot[0] = raw[m]
+                        np.add(raw[:m], upper, out=cor[:m])
+                    continue
+                for sums, nxt, tot in ((raw, raw_next, raw_tot), (cor, cor_next, cor_tot)):
+                    terms = np.multiply(w, sums[:m], out=nxt[1:m + 1])
+                    terms[0] += tot[i]
+                    np.cumsum(terms, out=terms)
+                    nxt[0] = tot[i]
+                    tot[i] = nxt[m]
+                raw, raw_next, cor, cor_next = raw_next, raw, cor_next, cor
+    psi = 1.0 + 0j
+    for i, k in enumerate(ks):
+        total = raw_tot[0] + upper if i == 0 else cor_tot[i]
+        psi = complex(total) + _em_tail(k, tau, cutoff + 1, -1) * psi
+    return psi, complex(raw_tot[-1])
 
 
 def _tangent_bounds(ks, tau, cutoff):
@@ -171,6 +214,10 @@ def multitangent(ks, tau: complex, cutoff: int) -> TangentSum:
     tau = _require_tau(tau)
     if cutoff < max(len(ks), int(abs(tau.real)) + 2):
         raise ValueError("cutoff too small for this depth and tau")
+    terms = len(ks) * (2 * cutoff + 1)
+    if terms > _MAX_LATTICE_TERMS:
+        raise ValueError(f"depth * (2 * cutoff + 1) = {terms} lattice terms, above the "
+                         f"limit of {_MAX_LATTICE_TERMS}; lower the cutoff")
     value, partial = _tangent_engine(ks, tau, cutoff)
     tail_bound, neglected = _tangent_bounds(ks, tau, cutoff)
     return TangentSum(value, partial, value - partial, tail_bound, neglected)
@@ -254,11 +301,6 @@ def eval_qseries_at(name: str, param: int, q: float,
         sums = _eval_macmahon(1, q, name == "Go", max_terms, 1e-15, k=param)
         return SeriesValue(const + sums.value, sums.terms, sums.converged)
     raise ValueError(f"unknown series name {name!r}")
-
-
-# part sizes per numpy chunk in _eval_macmahon: keeps memory independent of
-# the term count, which can reach max_terms
-_CHUNK = 1 << 16
 
 
 def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float,

@@ -270,6 +270,15 @@ class TestRobustness:
         assert err.startswith(f"error: {error}: ")
         assert "Traceback" not in err
 
+    def test_lattice_cost_cap_is_exit_one(self, capsys):
+        # 2e12 + 1 lattice points are refused before any array is allocated
+        code, out, err = run(capsys, "numeric", "--check", "monotangent", "--k", "2",
+                             "--tau", "0,1", "--cutoff", "1000000000000")
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: depth * (2 * cutoff + 1) = 2000000000001 ")
+
     def test_zero_division_is_exit_one(self, capsys, monkeypatch):
         def divide(*args):
             return 1 / 0

@@ -1,5 +1,6 @@
 """Tests for the identity verifiers, the extractor, and the exact solver."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -434,6 +435,35 @@ class TestLemma:
     def test_validation(self):
         with pytest.raises(ValueError):
             lemma_combinatorial_check(0)
+
+    def test_weight_graded_mismatch_report(self, monkeypatch):
+        true_zeta = identities.zeta_two_power
+
+        def off_at_three(j):
+            return true_zeta(j) * 2 if j == 3 else true_zeta(j)
+
+        monkeypatch.setattr(identities, "zeta_two_power", off_at_three)
+        report = lemma_combinatorial_check(10)
+        # zeta({2}^3) first enters the convolution at n = 4
+        assert report.status == "mismatch"
+        assert report.mismatch.coords == {"n": 4}
+        assert report.mismatch.note == "weight-graded form"
+        conv = sum((off_at_three(e - 1) * off_at_three(4 - e) for e in range(1, 5)),
+                   identities.LambdaPoly())
+        assert report.mismatch.lhs == str(conv)
+        assert report.mismatch.rhs == str(identities.LambdaPoly({3: F(-1, 64) * F(2**7, math.factorial(8))}))
+
+    def test_scalar_mismatch_report_is_in_fractions(self, monkeypatch):
+        def comb(n, k):
+            return math.comb(n, k) + (n == 6 and k == 1)
+
+        monkeypatch.setattr(identities, "comb", comb)
+        report = lemma_combinatorial_check(10)
+        # n = 3: (C(6, 1) + 1 + C(6, 3) + C(6, 5))/6! = 33/720 against 2^5/6!
+        assert report.status == "mismatch"
+        assert report.mismatch.coords == {"n": 3}
+        assert (report.mismatch.lhs, report.mismatch.rhs) == ("11/240", "2/45")
+        assert report.mismatch.note == ""
 
 
 class TestExpQshReport:

@@ -123,6 +123,79 @@ class TestMultitangent:
             multitangent((2, 2), 1j, 1)
 
 
+def whole_box_engine(ks, tau, cutoff):
+    """The lattice engine over whole arrays of all 2*cutoff + 1 points: (corrected, raw)."""
+    import numpy as np
+
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        ns = np.arange(cutoff, -cutoff - 1, -1, dtype=np.float64)
+        v = np.empty(len(ns), dtype=np.complex128)
+        scratch = np.empty_like(v)
+        raw = np.empty(len(ns) + 1, dtype=np.complex128)
+        cor = np.empty_like(raw)
+        psi = 1.0 + 0j
+        for i, k in enumerate(ks):
+            np.power(np.add(ns, tau, out=v), -k, out=v)
+            if i == 0:
+                seed = numerics._em_tail(k, tau, cutoff + 1, +1)
+                np.cumsum(v, out=raw[1:])
+                np.add(raw[1:], seed, out=cor[1:])
+            else:
+                seed = 0.0
+                np.cumsum(np.multiply(v, raw[:-1], out=scratch), out=raw[1:])
+                np.cumsum(np.multiply(v, cor[:-1], out=v), out=cor[1:])
+            raw[0] = 0.0
+            cor[0] = seed
+            psi = complex(cor[-1]) + numerics._em_tail(k, tau, cutoff + 1, -1) * psi
+    return psi, complex(raw[-1])
+
+
+ENGINE_KS = [(2,), (3,), (2, 2), (3, 2), (2, 2, 2), (2, 3, 4), (2, 2, 2, 2), (4, 2, 3, 2)]
+ENGINE_TAUS = [1j, 0.25 + 1j, -0.3 + 0.5j, -1.7 + 0.2j]
+
+
+class TestBlockedEngine:
+    """The blocked engine against the whole-array one, bit for bit."""
+
+    @pytest.mark.parametrize("ks", ENGINE_KS)
+    def test_cutoffs_around_block_edges(self, ks):
+        half = numerics._CHUNK // 2
+        # 2*cutoff + 1 points: one block short, one point over, two and three blocks
+        for cutoff in (3, half - 1, half, numerics._CHUNK, 3 * half - 1, 3 * half):
+            for tau in ENGINE_TAUS:
+                assert numerics._tangent_engine(ks, tau, cutoff) == \
+                    whole_box_engine(ks, tau, cutoff), (cutoff, tau)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_small_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        for ks in ENGINE_KS:
+            for cutoff in (len(ks) + 2, 7, 8, 30):
+                for tau in ENGINE_TAUS:
+                    assert numerics._tangent_engine(ks, tau, cutoff) == \
+                        whole_box_engine(ks, tau, cutoff), (ks, cutoff, tau)
+
+    def test_memory_is_bounded_by_the_block(self):
+        # whole arrays of the 2e6 + 1 points would take about 144 MB
+        tracemalloc.start()
+        try:
+            multitangent((2, 2, 2), 0.3 + 1j, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_cost_cap_raises_before_any_work(self, monkeypatch):
+        def engine(*args):
+            pytest.fail("the lattice engine ran past the cost cap")
+
+        monkeypatch.setattr(numerics, "_tangent_engine", engine)
+        with pytest.raises(ValueError, match="above the limit of 100000000"):
+            multitangent((2,), 1j, 5 * 10**7)  # 10^8 + 1 terms
+        with pytest.raises(ValueError, match="above the limit"):
+            multitangent((2, 2, 2), 0.3 + 1j, 10**12)
+
+
 class TestEvalAt:
     def test_a1_matches_coefficient_sum(self):
         direct = eval_qseries_at("A", 1, 0.5)
