@@ -138,19 +138,15 @@ def _cmd_series(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _run_identity(identity: str, args):
-    if identity == "main-a":
-        return verify_main_a(args.q_order, args.x_order)
-    if identity == "main-c":
-        return verify_main_c(args.q_order, args.x_order)
-    if identity == "geng22":
-        return verify_geng22(args.t_order, args.q_order)
-    if identity == "exp-qsh":
-        letters = _parse_index(args.letters)
-        return verify_exp_quasi_shuffle(letters, args.n_max if args.n_max else 5)
-    if identity == "lemma":
-        return lemma_combinatorial_check(args.n_max if args.n_max else 50)
-    raise UsageError(f"unknown identity {identity!r}")
+# every identity's runner, in the order of ``verify --all``
+_IDENTITIES = {
+    "main-a": lambda args: verify_main_a(args.q_order, args.x_order),
+    "main-c": lambda args: verify_main_c(args.q_order, args.x_order),
+    "geng22": lambda args: verify_geng22(args.t_order, args.q_order),
+    "exp-qsh": lambda args: verify_exp_quasi_shuffle(_parse_index(args.letters),
+                                                     args.n_max if args.n_max else 5),
+    "lemma": lambda args: lemma_combinatorial_check(args.n_max if args.n_max else 50),
+}
 
 
 def _verdict_text(report) -> str:
@@ -165,12 +161,11 @@ def _verdict_text(report) -> str:
 
 
 def _cmd_verify(args) -> int:
-    identities = (["main-a", "main-c", "geng22", "exp-qsh", "lemma"]
-                  if args.all else [args.identity])
+    identities = list(_IDENTITIES) if args.all else [args.identity]
     if identities == [None]:
         raise UsageError("verify needs --identity or --all")
     try:
-        reports = [_run_identity(name, args) for name in identities]
+        reports = [_IDENTITIES[name](args) for name in identities]
     except ValueError as exc:
         raise UsageError(str(exc))
     payload = {"reports": [r.to_dict() for r in reports]}
@@ -364,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_series)
 
     p = sub.add_parser("verify", help="verify the generating-series identities")
-    p.add_argument("--identity", choices=["main-a", "main-c", "geng22", "exp-qsh", "lemma"])
+    p.add_argument("--identity", choices=list(_IDENTITIES))
     p.add_argument("--all", action="store_true", help="run all five identity suites")
     p.add_argument("--q-order", dest="q_order", type=int, default=30)
     p.add_argument("--x-order", dest="x_order", type=int, default=12)

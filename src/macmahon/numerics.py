@@ -172,13 +172,16 @@ def _tangent_bounds(ks, tau, cutoff):
     # tail_bound: union bound over "index i escapes the box" channels, each
     # |sum outside| * product of absolute full sums of the other levels
     full_abs, tails = [], []
-    c = abs(tau.real)
-    start = max(40, int(c) + 2)
+    # sum_n |tau+n|^-k is periodic in tau, so it is bounded at the shift of
+    # tau with |Re| <= 1/2, in O(1) whatever Re tau
+    near = complex(tau.real - round(tau.real), tau.imag)
+    c = abs(near.real)
+    start = 40
     for k in ks:
         tails.append(2 * _one_sided_tail_bound(k, tau, cutoff))
-        # sum_n |tau+n|^-k bounded through |tau+n| >= max(|n - |Re tau||, Im tau),
+        # sum_n |near+n|^-k bounded through |near+n| >= max(|n - c|, Im tau),
         # with the range |n| >= start completed by the integral bound
-        head = 2 * sum(max(abs(n - c), tau.imag) ** -k for n in range(1, start)) + abs(tau) ** -k
+        head = 2 * sum(max(abs(n - c), tau.imag) ** -k for n in range(1, start)) + abs(near) ** -k
         full_abs.append(head + 2 * (start - 1 - c) ** (1 - k) / (k - 1))
     tail_bound = 0.0
     for i in range(len(ks)):

@@ -6,8 +6,8 @@ descriptor supplying the two units.  The same :class:`Series` class then
 covers every nesting used in this package:
 
 * series in q over `Fraction` (divisor generating functions),
-* series in q over :class:`LambdaPoly` (weight-graded expansions),
-* series in X or T whose coefficients are themselves series in q,
+* series in q over :class:`LambdaPoly`,
+* series in X or Y = T^2 whose coefficients are themselves series in q,
 * series in X over polynomials in named generators,
 * series in T over linear combinations of quasi-shuffle words.
 
@@ -25,28 +25,22 @@ construction and every operation is a pure function.
 
 A series over :data:`RATIONALS` is stored as integer numerators over one
 positive common denominator, reduced so that the gcd of the denominator and
-all numerators is 1 (a zero series has denominator 1).  A series over
-:data:`LAMBDAS` is stored the same way, one row of integer numerators per
-L-exponent present, ``{e: numerators of the L^e parts}``, over one common
-denominator; all-zero rows are dropped, so a zero series has no rows and
-keeps its order in its length.  Both forms are unique, so ``==`` compares
-integers.  :attr:`Series.coeffs` builds the `Fraction` (resp.
-:class:`LambdaPoly`) tuple on first read and keeps it.  Sums, negation,
-scalar products and quotients by an int or `Fraction`, peer products and
-the coefficient selections (``truncate``, ``shift``, ``even_part``,
-``odd_part``) work on the integers and reduce once per result with one gcd
-pass, never once per coefficient.
+all numerators is 1 (a zero series has denominator 1).  The form is unique,
+so ``==`` compares integers.  :attr:`Series.coeffs` builds the `Fraction`
+tuple on first read and keeps it.  Sums, negation, scalar products and
+quotients by an int or `Fraction`, peer products and the coefficient
+selections (``truncate``, ``shift``, ``even_part``, ``odd_part``) work on
+the integers and reduce once per result with one gcd pass, never once per
+coefficient.  Every other ring holds its coefficients as they are.
 
 Costs, for order n and coefficient products counted as one step each:
 
 * ``a * b`` between two series over :data:`RATIONALS` is one big-integer
   product of the packed numerators by Kronecker substitution, so the
   convolution runs in CPython's Karatsuba multiply; the denominators
-  multiply.  Over :data:`LAMBDAS` it is one such product per pair of rows,
-  summed into the row of the exponent sum.  The other rings use the
-  O(n^2) schoolbook convolution.
-* ``a + b`` and scalar products of a series over :data:`RATIONALS` or
-  :data:`LAMBDAS` take O(n) integer operations per row plus the gcd pass.
+  multiply.  The other rings use the O(n^2) schoolbook convolution.
+* ``a + b`` and scalar products of a series over :data:`RATIONALS` take
+  O(n) integer operations plus the gcd pass.
 * :meth:`Series.exp` uses the recurrence for b' = a'b: O(n^2) coefficient
   products.
 * :meth:`Series.compose` builds the n powers of the inner series (n series
@@ -59,7 +53,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
 from typing import Callable
 
@@ -237,10 +230,6 @@ class LambdaPoly(SparsePoly):
     def _mul_monomials(e1, e2):
         return ((e1 + e2, 1),)
 
-    def is_homogeneous(self, degree: int) -> bool:
-        """True when every monomial (if any) has exponent ``degree``."""
-        return all(e == degree for e in self.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -298,50 +287,39 @@ class Series:
     """A truncated power series: ``coeffs[i]`` is the coefficient of x^i.
 
     ``order`` is the highest retained power; higher coefficients are
-    unknown, not zero.  Coefficients live in ``ring``; integers passed as
-    coefficients are embedded via ``ring.one``.  Over :data:`RATIONALS` and
-    :data:`LAMBDAS` the coefficients are held as integer numerators over one
-    denominator (see the module docstring); ``coeffs`` still reads as
-    `Fraction`s, resp. :class:`LambdaPoly` values.
+    unknown, not zero.  Coefficients live in ``ring``; ints and `Fraction`s
+    passed as coefficients are embedded via ``ring.one``.  Over
+    :data:`RATIONALS` the coefficients are held as integer numerators over
+    one denominator (see the module docstring); ``coeffs`` still reads as
+    `Fraction`s.
 
     >>> x = Series([0, 1, 0, 0])
     >>> ((1 + x) * (1 - x)).coeffs
     (Fraction(1, 1), Fraction(0, 1), Fraction(-1, 1), Fraction(0, 1))
     """
 
-    # over RATIONALS: _nums and _den hold the series; over LAMBDAS: _rows and
-    # _den do; _coeffs is None until read.  Over any other ring _coeffs holds
-    # the series and _nums, _rows, _den are None.
-    __slots__ = ("ring", "_coeffs", "_nums", "_rows", "_den", "_len", "_series_depth")
+    # over RATIONALS: _nums and _den hold the series and _coeffs is None until
+    # read.  Over any other ring _coeffs holds the series and _nums, _den are
+    # None.
+    __slots__ = ("ring", "_coeffs", "_nums", "_den", "_len", "_series_depth")
 
     def __init__(self, coeffs, ring: CoeffRing = RATIONALS):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
-        self._nums = self._rows = self._den = self._coeffs = None
+        self._nums = self._den = self._coeffs = None
         if ring is RATIONALS and all(isinstance(c, (int, Fraction)) for c in coeffs):
             den = lcm(*(c.denominator for c in coeffs))
             # over the lcm of reduced denominators the numerators share no factor with it
             self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
             self._den = den
-        elif ring is LAMBDAS and all(isinstance(c, (int, Fraction, LambdaPoly)) for c in coeffs):
-            terms = [c.terms.items() if isinstance(c, LambdaPoly) else ((0, c),) for c in coeffs]
-            den = lcm(*(v.denominator for t in terms for _, v in t))
-            rows = {}
-            for k, t in enumerate(terms):
-                for e, v in t:
-                    if v:
-                        row = rows.setdefault(e, [0] * len(coeffs))
-                        row[k] = v.numerator * (den // v.denominator)
-            # reduced as above, and a row exists only where a term is nonzero
-            self._rows = {e: tuple(row) for e, row in rows.items()}
-            self._den = den
+            self._series_depth = 1
         else:
-            self._coeffs = tuple(ring.one * c if isinstance(c, int) else _reject_float(c)
-                                 for c in coeffs)
+            self._coeffs = tuple(ring.one * c if isinstance(c, (int, Fraction))
+                                 else _reject_float(c) for c in coeffs)
+            self._series_depth = 1 + _depth(self._coeffs[0])
         self.ring = ring
         self._len = len(coeffs)
-        self._series_depth = 1 + _depth(coeffs[0])
 
     @classmethod
     def _from_ints(cls, nums, den: int = 1) -> "Series":
@@ -355,46 +333,16 @@ class Series:
         self = object.__new__(cls)
         self.ring = RATIONALS
         self._nums = tuple(nums)
-        self._rows = self._coeffs = None
+        self._coeffs = None
         self._den = den
         self._len = len(self._nums)
-        self._series_depth = 1
-        return self
-
-    @classmethod
-    def _from_rows(cls, rows: dict, den: int, size: int) -> "Series":
-        """The series over :data:`LAMBDAS` with L^e part rows[e][i] / den in x^i, reduced.
-
-        Every row has ``size`` entries; all-zero rows are dropped.  The rows
-        are reduced together, as in :meth:`_from_ints`.
-        """
-        rows = {e: row for e, row in rows.items() if any(row)}
-        g = gcd(den, *chain.from_iterable(rows.values()))
-        if den < 0:
-            g = -g
-        if g != 1:
-            rows = {e: [c // g for c in row] for e, row in rows.items()}
-            den //= g
-        self = object.__new__(cls)
-        self.ring = LAMBDAS
-        self._rows = {e: tuple(row) for e, row in rows.items()}
-        self._nums = self._coeffs = None
-        self._den = den
-        self._len = size
         self._series_depth = 1
         return self
 
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            den = self._den
-            if self._nums is not None:
-                self._coeffs = tuple(Fraction(c, den) for c in self._nums)
-            else:
-                rows = sorted(self._rows.items())
-                self._coeffs = tuple(
-                    LambdaPoly._from_terms({e: Fraction(row[k], den) for e, row in rows if row[k]})
-                    for k in range(self._len))
+            self._coeffs = tuple(Fraction(c, self._den) for c in self._nums)
         return self._coeffs
 
     @classmethod
@@ -433,37 +381,24 @@ class Series:
         """
         if self._nums is not None:
             return Series._from_ints(pick(self._nums, 0), self._den)
-        if self._rows is not None:
-            rows = {e: pick(row, 0) for e, row in self._rows.items()}
-            return Series._from_rows(rows, self._den, len(pick((0,) * self._len, 0)))
         return Series(pick(self._coeffs, self.ring.zero), self.ring)
 
     def _scaled(self, p: int, q: int) -> "Series":
         """This series, in integer form, times p / q."""
-        if self._nums is not None:
-            return Series._from_ints([c * p for c in self._nums], self._den * q)
-        return Series._from_rows({e: [c * p for c in row] for e, row in self._rows.items()},
-                                 self._den * q, self._len)
+        return Series._from_ints([c * p for c in self._nums], self._den * q)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
         if self._is_peer(other):
-            if self._den is not None and other._den is not None:
+            if self._nums is not None and other._nums is not None:
                 # ma, mb bring both numerators over lcm(da, db) = da * ma
                 da, db = self._den, other._den
                 g = gcd(da, db)
                 ma, mb = db // g, da // g
-            if self._nums is not None and other._nums is not None:
                 # zip stops at the shorter operand: the smaller order
                 return Series._from_ints(
                     [a * ma + b * mb for a, b in zip(self._nums, other._nums)], da * ma)
-            if self._rows is not None and other._rows is not None:
-                size = min(self._len, other._len)
-                ra, rb, zeros = self._rows, other._rows, (0,) * size
-                out = {e: [x * ma + y * mb for x, y in zip(ra.get(e, zeros), rb.get(e, zeros))]
-                       for e in ra.keys() | rb.keys()}
-                return Series._from_rows(out, da * ma, size)
             n = min(self.order, other.order)
             return Series(
                 tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
@@ -493,11 +428,9 @@ class Series:
         Two series over :data:`RATIONALS` multiply their numerators by
         Kronecker substitution (:func:`_kronecker_ints`: O(n) packing, one
         big-integer product, O(n) read-out) and their denominators, then
-        reduce once.  Two series over :data:`LAMBDAS` do the same for every
-        pair of rows, (e1, e2), and sum the products into the row of
-        e1 + e2 before the one reduction.  A scalar int or `Fraction`
-        scales the numerators and the denominator.  The other rings
-        (generator polynomials, quasi-shuffle words, nested series) use the
+        reduce once.  A scalar int or `Fraction` scales the numerators and
+        the denominator.  The other rings (L-polynomials, generator
+        polynomials, quasi-shuffle words, nested series) use the
         schoolbook convolution, at most (n + 1)(n + 2)/2 coefficient
         products: pairs with a zero factor are skipped, as in :meth:`exp`.
         """
@@ -507,16 +440,6 @@ class Series:
                 return Series._from_ints(
                     _kronecker_ints(self._nums[: n + 1], other._nums[: n + 1]),
                     self._den * other._den)
-            if self._rows is not None and other._rows is not None:
-                rows_b = [(e, row[: n + 1]) for e, row in other._rows.items()]
-                out = {}
-                for e1, row_a in self._rows.items():
-                    row_a = row_a[: n + 1]
-                    for e2, row_b in rows_b:
-                        prod = _kronecker_ints(row_a, row_b)
-                        e = e1 + e2
-                        out[e] = prod if e not in out else [x + y for x, y in zip(out[e], prod)]
-                return Series._from_rows(out, self._den * other._den, n + 1)
             zero, b = self.ring.zero, other.coeffs
             a = [(i, c) for i, c in enumerate(self.coeffs[: n + 1]) if not c == zero]
             b_nonzero = [not c == zero for c in b[: n + 1]]
@@ -566,9 +489,6 @@ class Series:
             # both reduced, so equal series have equal numerators and denominators
             if self._nums is not None and other._nums is not None:
                 return self._den == other._den and self._nums == other._nums
-            if self._rows is not None and other._rows is not None:
-                return (self._len == other._len and self._den == other._den
-                        and self._rows == other._rows)
             return self.order == other.order and self.coeffs == other.coeffs
         if isinstance(other, Series):
             return False

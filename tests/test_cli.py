@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface and its contracts."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import macmahon
 from macmahon import cli
 from macmahon.cli import main
 from macmahon.qseries import RouteMismatchError
@@ -213,6 +218,17 @@ class TestTopLevel:
 
     def test_no_args_is_usage(self, capsys):
         assert main([]) == 1
+
+    @pytest.mark.parametrize("argv, out", [
+        (["--version"], macmahon.__version__ + "\n"),
+        (["verify", "--identity", "geng22"], "geng22: verified (t_order=9, q_order=30)\n"),
+    ])
+    def test_python_dash_m(self, argv, out):
+        src = str(Path(macmahon.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "macmahon", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 class TestRobustness:

@@ -9,6 +9,7 @@ import pytest
 from macmahon.identities import (
     GENPOLYS,
     GeneratorPoly,
+    Mismatch,
     NoRepresentationError,
     _first_mismatch,
     _generating_rhs,
@@ -67,6 +68,46 @@ def lifted_x_route(gen_vals, x_order, inner, prefactor):
             pre[2 * j] = u[j]
         rhs = lift_rationals(Series(pre), inner) * rhs
     return rhs
+
+
+def l_tracked_geng22(t_order, q_order):
+    """Both sides of the weight-graded identity as series in T over q-series in L.
+
+    Every rational q-series is lifted to L-polynomial coefficients with
+    ``map_coefficients`` and carries its power of L, and Z(T) and its powers
+    are built in T itself: the route that tracks L instead of setting
+    L = 1, and that multiplies q-series over L-polynomials.
+    """
+    inner = series_ring(LAMBDAS, q_order)
+    half = (t_order - 1) // 2
+
+    def lift(f, e):
+        return f.map_coefficients(lambda c: LambdaPoly({e: c}), LAMBDAS)
+
+    arg = [inner.zero] * (t_order + 1)
+    for k in range(1, half + 1):
+        arg[2 * k] = lift(identities.eisenstein(2 * k, q_order), k) * F(1 if k % 2 else -1, k)
+    lhs = Series(arg, inner).exp().shift(1)
+    z_coeffs = [inner.zero] * (t_order + 1)
+    for j in range(half + 1):
+        z_coeffs[2 * j + 1] = Series.constant(identities.zeta_two_power(j), q_order, LAMBDAS)
+    z = Series(z_coeffs, inner)
+    z_sq = z * z
+    rhs = power = z
+    chain = identities._macmahon_chain(half, q_order, odd=False)
+    for l in range(1, half + 1):
+        power = power * z_sq
+        rhs = rhs + power * lift(chain[l - 1], l)
+    return lhs, rhs
+
+
+def doctored_chain(chain):
+    """``_macmahon_chain`` with one wrong q^5 coefficient of A_2 = g({2}^2)."""
+    def doctored(*args, **kwargs):
+        out = chain(*args, **kwargs)
+        out[1] = out[1] + Series([0] * 5 + [1] + [0] * (out[1].order - 5))
+        return out
+    return doctored
 
 
 class TestMainIdentities:
@@ -359,23 +400,16 @@ class TestGeng22:
         assert report.ok
 
     def test_bigger_window(self):
-        # products over L-polynomials are Kronecker products of integer rows
         assert verify_geng22(15, 30).status == "verified"
 
     def test_biggest_window(self):
-        # the window the integer-row form of L-polynomial series was timed on
+        # the largest window pinned here
         assert verify_geng22(31, 80).status == "verified"
 
     def test_value_mismatch_report(self, monkeypatch):
         # one wrong q^5 coefficient of A_2 = g({2}^2) surfaces at T^5 q^5
-        chain = identities._macmahon_chain
-
-        def doctored(*args, **kwargs):
-            out = chain(*args, **kwargs)
-            out[1] = out[1] + Series([0] * 5 + [1] + [0] * (out[1].order - 5))
-            return out
-
-        monkeypatch.setattr(identities, "_macmahon_chain", doctored)
+        monkeypatch.setattr(identities, "_macmahon_chain",
+                            doctored_chain(identities._macmahon_chain))
         report = verify_geng22(9, 10)
         assert report.to_dict() == {
             "identity": "geng22", "params": {"t_order": 9, "q_order": 10},
@@ -384,21 +418,41 @@ class TestGeng22:
                          "lhs": "33/4*L^2", "rhs": "37/4*L^2"},
         }
 
-    def test_weight_grading_report(self, monkeypatch):
-        # G_4 lifted with L^3 in place of L^2 breaks the homogeneity of T^5
-        lift = identities._lambda_lift
-        g4 = eisenstein(4, 10)
-        monkeypatch.setattr(identities, "_lambda_lift",
-                            lambda f, exponent: lift(f, 3 if f == g4 else exponent))
-        report = verify_geng22(9, 10)
-        assert report.to_dict() == {
-            "identity": "geng22", "params": {"t_order": 9, "q_order": 10},
-            "status": "mismatch",
-            "mismatch": {"coords": {"t_exp": 5, "q_exp": 0},
-                         "lhs": "1/1152*L^2 - 1/2880*L^3",
-                         "rhs": "L-homogeneous of degree 2",
-                         "note": "weight grading violated"},
-        }
+    def test_zeta_mismatch_report(self, monkeypatch):
+        # zeta({2}^2) times 3/2 in Z(T) surfaces at T^5 q^0, both sides in L^2
+        zeta = identities.zeta_two_power
+        monkeypatch.setattr(identities, "zeta_two_power",
+                            lambda j: zeta(j) * F(3, 2) if j == 2 else zeta(j))
+        assert verify_geng22(9, 10).to_dict()["mismatch"] == {
+            "coords": {"t_exp": 5, "q_exp": 0}, "lhs": "1/1920*L^2", "rhs": "1/1280*L^2"}
+
+    def test_eisenstein_mismatch_report(self, monkeypatch):
+        # G_4 + 1/7 on the left surfaces at T^5 q^0
+        eis = identities.eisenstein
+        monkeypatch.setattr(identities, "eisenstein",
+                            lambda k, q: eis(k, q) + F(1, 7) if k == 4 else eis(k, q))
+        assert verify_geng22(9, 10).to_dict()["mismatch"] == {
+            "coords": {"t_exp": 5, "q_exp": 0}, "lhs": "-953/13440*L^2", "rhs": "1/1920*L^2"}
+
+    @pytest.mark.parametrize("t_order, q_order", [(5, 6), (7, 8), (9, 10)])
+    def test_l_tracked_reference_route(self, t_order, q_order):
+        # with L tracked, the T^(2m+1) coefficients hold only L^m, the even
+        # ones vanish, and the two sides agree where the L = 1 check does
+        lhs, rhs = l_tracked_geng22(t_order, q_order)
+        for side in (lhs, rhs):
+            for a in range(t_order + 1):
+                degrees = {e for c in side[a].coeffs for e in c.terms}
+                assert degrees <= ({(a - 1) // 2} if a % 2 else set())
+        assert lhs == rhs
+        assert verify_geng22(t_order, q_order).ok
+
+    def test_l_tracked_route_sees_the_doctored_chain(self, monkeypatch):
+        monkeypatch.setattr(identities, "_macmahon_chain",
+                            doctored_chain(identities._macmahon_chain))
+        reference = _first_mismatch("geng22", {}, *l_tracked_geng22(9, 10), "t_exp", 1)
+        checked = verify_geng22(9, 10)
+        assert reference.mismatch == checked.mismatch == Mismatch(
+            {"t_exp": 5, "q_exp": 5}, "33/4*L^2", "37/4*L^2")
 
     def test_depth_one_fourier_expansion(self):
         # the T^3 coefficient identity: zeta(2) + L*g(2) = L*G_2(q)

@@ -122,6 +122,22 @@ class TestMultitangent:
         with pytest.raises(ValueError):
             multitangent((2, 2), 1j, 1)
 
+    @pytest.mark.parametrize("ks", [(2,), (2, 2), (3, 2, 2)])
+    def test_bounds_are_periodic_in_tau(self, ks):
+        # shifting tau and the cutoff by N leaves the bounds as they are, and
+        # costs no more near the term cap than at N = 0
+        tau, cutoff = 0.25 + 0.5j, 100
+        for shift in (1, 1000, 10**6, 5 * 10**7):
+            assert numerics._tangent_bounds(ks, tau + shift, cutoff + shift) == \
+                numerics._tangent_bounds(ks, tau, cutoff)
+
+    def test_tail_bound_dominates_at_large_real_part(self):
+        tau = 1000.25 + 1j
+        for ks in ((2,), (3,), (2, 2), (3, 2)):
+            m = multitangent(ks, tau, 5000)
+            further = multitangent(ks, tau, 10000)
+            assert m.tail_bound >= abs(further.partial - m.partial)
+
 
 def whole_box_engine(ks, tau, cutoff):
     """The lattice engine over whole arrays of all 2*cutoff + 1 points: (corrected, raw)."""
