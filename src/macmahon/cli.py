@@ -3,7 +3,7 @@
 Subcommands
 -----------
 series    print exact q-expansion coefficients of A_r, C_r, G_k, Go_k, g, go
-verify    run an identity verifier (or all five suites with --all)
+verify    run an identity verifier (or every one with --all)
 express   solve for a polynomial in (odd) Eisenstein series matching A_r/C_r
 numeric   floating-point checks: lattice sums, ratio tests, q -> 1 limits
 
@@ -144,8 +144,8 @@ _IDENTITIES = {
     "main-c": lambda args: verify_main_c(args.q_order, args.x_order),
     "geng22": lambda args: verify_geng22(args.t_order, args.q_order),
     "exp-qsh": lambda args: verify_exp_quasi_shuffle(_parse_index(args.letters),
-                                                     args.n_max if args.n_max else 5),
-    "lemma": lambda args: lemma_combinatorial_check(args.n_max if args.n_max else 50),
+                                                     5 if args.n_max is None else args.n_max),
+    "lemma": lambda args: lemma_combinatorial_check(50 if args.n_max is None else args.n_max),
 }
 
 
@@ -190,7 +190,9 @@ def _cmd_express(args) -> int:
     side, r = m.group(1), int(m.group(2))
     if r < 1:
         raise UsageError("target index r must be >= 1")
-    weight_bound = args.weight_bound if args.weight_bound else 2 * r
+    weight_bound = 2 * r if args.weight_bound is None else args.weight_bound
+    if weight_bound < 0:
+        raise UsageError("--weight-bound must be >= 0")
 
     if args.generators == "auto":
         pairs = generator_names(side, r)
@@ -207,7 +209,7 @@ def _cmd_express(args) -> int:
             raise UsageError(f"generator {odd!r} needs an even weight >= 2")
 
     _, min_order = _candidate_monomials(weights, weight_bound)
-    q_order = args.q_order if args.q_order else max(30, min_order)
+    q_order = max(30, min_order) if args.q_order is None else args.q_order
     full_order = 2 * q_order
 
     generators = [(n, w, (eisenstein_odd if n.startswith("Go") else eisenstein)(w, full_order))
@@ -253,12 +255,14 @@ def _lemma_ratio_target(depth: int) -> float:
 
 
 def _cmd_numeric(args) -> int:
+    if args.tol is not None and not 0 <= args.tol < math.inf:
+        raise UsageError("--tol must be a finite number >= 0")
     if args.check == "monotangent":
         if args.k is None or args.k < 2:
             raise UsageError("monotangent needs --k >= 2")
         tau = _parse_tau(args.tau)
-        cutoff = args.cutoff if args.cutoff else 100_000
-        tol = args.tol if args.tol else 1e-8
+        cutoff = 100_000 if args.cutoff is None else args.cutoff
+        tol = 1e-8 if args.tol is None else args.tol
         lattice = monotangent(args.k, tau, cutoff)
         qside = lipschitz_value(args.k, tau)
         rel = abs(lattice.value - qside) / abs(qside)
@@ -283,7 +287,7 @@ def _cmd_numeric(args) -> int:
         if any(k < 2 for k in ks):
             raise UsageError("all multitangent exponents must be >= 2")
         tau = _parse_tau(args.tau)
-        cutoff = args.cutoff if args.cutoff else 10_000
+        cutoff = 10_000 if args.cutoff is None else args.cutoff
         value = multitangent(ks, tau, cutoff)
         payload = {
             "check": "multitangent", "ks": list(ks), "tau": [tau.real, tau.imag],
@@ -294,7 +298,9 @@ def _cmd_numeric(args) -> int:
         code = EXIT_OK
         if all(k == 2 for k in ks):
             depth = len(ks)
-            tol = args.tol if args.tol else (1e-8 if depth == 1 else 1e-6 if depth == 2 else 1e-5)
+            tol = args.tol
+            if tol is None:
+                tol = 1e-8 if depth == 1 else 1e-6 if depth == 2 else 1e-5
             mono = monotangent(2, tau, cutoff)
             ratio = value.value / mono.value
             target = _lemma_ratio_target(depth)
@@ -318,7 +324,7 @@ def _cmd_numeric(args) -> int:
         if k_lo > k_hi or k_lo < 1:
             raise UsageError("grid bounds must satisfy 1 <= lo <= hi")
         grid = [1 - 2.0 ** (-k) for k in range(k_lo, k_hi + 1)]
-        tol = args.tol if args.tol else (1e-3 if args.r == 1 else 1e-2)
+        tol = (1e-3 if args.r == 1 else 1e-2) if args.tol is None else args.tol
         report = limit_check(args.r, grid)
         payload = {
             "check": "limit", "r": args.r, "grid": list(report.grid),
@@ -360,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the generating-series identities")
     p.add_argument("--identity", choices=list(_IDENTITIES))
-    p.add_argument("--all", action="store_true", help="run all five identity suites")
+    p.add_argument("--all", action="store_true",
+                   help=f"run every identity ({', '.join(_IDENTITIES)})")
     p.add_argument("--q-order", dest="q_order", type=int, default=30)
     p.add_argument("--x-order", dest="x_order", type=int, default=12)
     p.add_argument("--t-order", dest="t_order", type=int, default=9)

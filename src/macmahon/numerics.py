@@ -5,15 +5,12 @@ The monotangent and multitangent functions are the ordered sums
     Psi_k(tau)            = sum_{n in Z} (tau + n)^(-k),
     Psi_{k_1,...,k_r}(tau) = sum_{n_1 > ... > n_r} prod_i (tau + n_i)^(-k_i),
 
-for tau in the upper half plane and all exponents >= 2.  One pass of
-cumulative sums over the symmetric box |n_i| <= cutoff, walked in blocks of
-fixed length (depth r costs O(cutoff * r) time, not O(cutoff^r), and memory
-independent of the cutoff), gives the raw box sum and the value with
-Euler-Maclaurin boundary corrections for the parts outside the box.  For
-k = 2 the raw sum converges only like 1/cutoff, so the corrected value is
-the primary output; the raw sum, the correction, and bounds for the raw
-tail and the neglected remainder are reported alongside.  Depth times
-(2 * cutoff + 1) is capped at 10^8 lattice terms, seconds of work.
+for tau in the upper half plane and all exponents >= 2, over the symmetric
+box |n_i| <= cutoff with Euler-Maclaurin corrections for the parts outside
+it.  For k = 2 the raw sum converges only like 1/cutoff, so the corrected
+value is the primary output; the raw sum, the correction, and bounds for
+the raw tail and the neglected remainder are reported alongside.  Depth
+times (2 * cutoff + 1) is capped at 10^8 lattice terms, seconds of work.
 
 Every q-side sum is built on sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1),
 A_n the Eulerian polynomial (``_power_sum``, for scalars and arrays).
@@ -24,19 +21,20 @@ f(m) = sum_d d^(k-1) q^(m*d)/(k-1)!, which feeds the limit check
 
     (1-q)^(2r) A_r(q)  ->  pi^(2r)/(2r+1)!   as q -> 1.
 
-The sizes go in numpy blocks of the same fixed length, so the cost is
-O(terms * r) vectorised operations and the memory does not grow with the
-number of terms (up to millions near q = 1).
+Both nested sums are one kernel, ``_ordered_sums``: cumulative sums over
+the points (lattice points n or part sizes m) in numpy blocks of fixed
+length, so depth r costs O(points * r) time, not O(points^r), and the
+memory does not grow with the number of points (millions near q = 1).
 
-numpy is imported by the functions that use it, on their first call, so
-the exact layers and the CLI commands that need no numerics do not pay its
-import time and memory.
+numpy is imported on first use, so the exact layers and the CLI commands
+that need no numerics do not pay its import time and memory.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -88,84 +86,101 @@ def _one_sided_tail_bound(k: int, tau: complex, n: int) -> float:
     return margin ** (1 - k) / (k - 1)
 
 
-# points per numpy block in _tangent_engine and part sizes per block in
-# _eval_macmahon: memory stays O(_CHUNK) whatever the cutoff or term count,
-# and each block's arrays stay cache-resident
+# points per numpy block in _ordered_sums: memory stays O(_CHUNK) whatever
+# the cutoff or term count, and each block's arrays stay cache-resident
 _CHUNK = 1 << 14
 
 # multitangent refuses depth * (2 * cutoff + 1) above this many lattice terms
 _MAX_LATTICE_TERMS = 10**8
 
+# _eval_macmahon's relative tail tolerance and default cap on part sizes
+_REL_TOL = 1e-15
+_MAX_TERMS = 5_000_000
 
-def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
-    """Ordered box sum over cutoff >= n_1 > ... > n_r >= -cutoff, by cumulative sums.
 
-    Returns ``(corrected, raw)`` from one evaluation of (tau + n)^(-k) per
-    level.  The raw sum is the box sum alone.  The corrected sum restores
-    the two dominant boundary channels at each depth: the upper seed of the
-    innermost level and, at every level, the lower tail weighted by the
-    full lower-depth value.
+def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = ()) -> list:
+    """Level-i sums over points p_0 > ... > p_i of prod_j w_j(p_j), for i < depth.
 
-    The points n go from cutoff down to -cutoff in blocks of ``_CHUNK``,
-    so memory is O(_CHUNK) whatever the cutoff.  Each level carries its
-    raw and corrected running totals from block to block and seeds them
-    into the first element of the block's cumulative sum, so every float
-    addition happens in the order of one cumulative sum over the whole
-    box.  A float overflow, division by zero or invalid value in the
-    arrays raises ``FloatingPointError`` instead of warning and going on
-    with inf or nan.
+    The points, a descending range, go in blocks of ``_CHUNK``, and
+    ``weights(block, out)`` yields a block's ``depth`` weight arrays, level
+    by level; ``out`` is a free ``dtype`` buffer of the block's length, and
+    every level may yield the same array.  These sums are the raw chain;
+    each seed adds a chain whose level-0 partial sums are the raw ones plus
+    the seed.  Returns the level totals of every chain, raw first, as
+    ``dtype`` scalars.
+
+    Each level carries its total from block to block and seeds it into the
+    first element of the block's cumulative sum, so every float addition
+    happens in the order of one cumulative sum over all the points, and
+    memory is O(_CHUNK) whatever their number.  A float overflow, division
+    by zero or invalid value raises ``FloatingPointError`` instead of
+    warning and going on with inf or nan.
     """
     import numpy as np
 
-    depth = len(ks)
-    size = min(_CHUNK, 2 * cutoff + 1)
-    upper = _em_tail(ks[0], tau, cutoff + 1, +1)
-    # running totals of every level over the points seen so far; only the
-    # innermost level has an upper seed, the others' are O(cutoff^-(k_i +
-    # k_(i-1) - 1)) and folded into neglected_bound
-    raw_tot = [0j] * depth
-    cor_tot = [0j] * depth
+    size = min(_CHUNK, len(points))
+    chains = 1 + len(seeds)
+    # tot[c][i]: chain c's level-i sum over the blocks done
+    tot = [[dtype()] * depth for _ in range(chains)]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        offsets = np.arange(0, -size, -1, dtype=np.float64)
-        ns = np.empty(size, dtype=np.float64)
-        v = np.empty(size, dtype=np.complex128)
-        if depth > 1:
-            # raw[j] and cor[j] hold a level's sums over the points before
-            # point j of the block (raw[0] the carried total), so raw[:m]
-            # weights the next level, which writes its own into the spare
-            # pair; the pairs swap at every level.  Every product has its
-            # own output array: numpy rounds an in-place complex product of
-            # one element differently
-            raw, cor, raw_next, cor_next = (np.empty(size + 1, dtype=np.complex128)
-                                            for _ in range(4))
-        for hi in range(cutoff, -cutoff - 1, -size):
-            m = min(size, hi + cutoff + 1)
-            np.add(offsets[:m], hi, out=ns[:m])
-            w = v[:m]
-            for i, k in enumerate(ks):
-                np.power(np.add(ns[:m], tau, out=w), -k, out=w)
+        block = np.arange(points.start, points.start + size * points.step, points.step,
+                          dtype=np.float64)
+        work = np.empty(size, dtype=dtype)
+        # pre[c][j]: chain c's sums at the current level over the points
+        # before point j (pre[c][0] the carried total), which weight the next
+        # level; it writes its own into spare, then the two swap.  Products
+        # get their own output: numpy rounds an in-place one-element complex
+        # product differently.  Level 0 alone needs only the raw row
+        rows = [np.empty(size + 1, dtype=dtype) for _ in range(2 * chains if depth > 1 else 1)]
+        pre, spare = rows[:chains], rows[chains:]
+        for start in range(0, len(points), size):
+            m = min(size, len(points) - start)
+            if start:
+                np.add(block, size * points.step, out=block)
+            for i, w in enumerate(weights(block[:m], work[:m])):
                 if i == 0:
-                    w[0] += raw_tot[0]
-                    if depth == 1:
-                        raw_tot[0] = np.cumsum(w, out=w)[-1]
-                    else:
-                        np.cumsum(w, out=raw[1:m + 1])
-                        raw[0] = raw_tot[0]
-                        raw_tot[0] = raw[m]
-                        np.add(raw[:m], upper, out=cor[:m])
+                    # w may be the next level's weights too: restore w[0]
+                    first = w[0]
+                    w[0] += tot[0][0]
+                    np.cumsum(w, out=pre[0][1:m + 1])
+                    w[0] = first
+                    pre[0][0], tot[0][0] = tot[0][0], pre[0][m]
+                    for dst, seed in zip(pre[1:], seeds):
+                        np.add(pre[0][:m], seed, out=dst[:m])
                     continue
-                for sums, nxt, tot in ((raw, raw_next, raw_tot), (cor, cor_next, cor_tot)):
-                    terms = np.multiply(w, sums[:m], out=nxt[1:m + 1])
-                    terms[0] += tot[i]
+                for src, dst, sums in zip(pre, spare, tot):
+                    terms = np.multiply(w, src[:m], out=dst[1:m + 1])
+                    terms[0] += sums[i]
                     np.cumsum(terms, out=terms)
-                    nxt[0] = tot[i]
-                    tot[i] = nxt[m]
-                raw, raw_next, cor, cor_next = raw_next, raw, cor_next, cor
+                    dst[0], sums[i] = sums[i], dst[m]
+                pre, spare = spare, pre
+    for sums, seed in zip(tot[1:], seeds):
+        sums[0] = tot[0][0] + seed
+    return [[dtype(t) for t in sums] for sums in tot]
+
+
+def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
+    """Ordered box sum over cutoff >= n_1 > ... > n_r >= -cutoff: ``(corrected, raw)``.
+
+    ``_ordered_sums`` with weights (tau + n)^(-k_i) at level i.  The raw
+    chain is the box sum alone; the corrected one restores the two dominant
+    boundary channels at each depth: the upper seed of the innermost level
+    and, at every level, the lower tail weighted by the full lower-depth value.
+    """
+    import numpy as np
+
+    def levels(ns, out):
+        for k in ks:
+            yield np.power(np.add(ns, tau, out=out), -k, out=out)
+
+    # only the innermost level has an upper seed, the others' are
+    # O(cutoff^-(k_i + k_(i-1) - 1)) and folded into neglected_bound
+    upper = _em_tail(ks[0], tau, cutoff + 1, +1)
+    raw, cor = _ordered_sums(levels, len(ks), range(cutoff, -cutoff - 1, -1), complex, (upper,))
     psi = 1.0 + 0j
-    for i, k in enumerate(ks):
-        total = raw_tot[0] + upper if i == 0 else cor_tot[i]
-        psi = complex(total) + _em_tail(k, tau, cutoff + 1, -1) * psi
-    return psi, complex(raw_tot[-1])
+    for k, total in zip(ks, cor):
+        psi = total + _em_tail(k, tau, cutoff + 1, -1) * psi
+    return psi, raw[-1]
 
 
 def _tangent_bounds(ks, tau, cutoff):
@@ -278,7 +293,7 @@ class SeriesValue:
 
 
 def eval_qseries_at(name: str, param: int, q: float,
-                    max_terms: int = 5_000_000) -> SeriesValue:
+                    max_terms: int = _MAX_TERMS) -> SeriesValue:
     """Numeric value of A_r, C_r, G_k or Go_k at q in (0, 1), from the defining sums.
 
     All four are ``_eval_macmahon`` sums: A_r and C_r with k = 2, G_k and
@@ -292,7 +307,7 @@ def eval_qseries_at(name: str, param: int, q: float,
     if name in ("A", "C"):
         if param < 1:
             raise ValueError("need r >= 1")
-        return _eval_macmahon(param, q, name == "C", max_terms, 1e-15)
+        return _eval_macmahon(param, q, name == "C", max_terms)
     if name in ("G", "Go"):
         if param < 2 or param % 2:
             raise ValueError("need even k >= 2")
@@ -301,53 +316,37 @@ def eval_qseries_at(name: str, param: int, q: float,
             from .qseries import eisenstein
 
             const = float(eisenstein(param, 0)[0])
-        sums = _eval_macmahon(1, q, name == "Go", max_terms, 1e-15, k=param)
+        sums = _eval_macmahon(1, q, name == "Go", max_terms, k=param)
         return SeriesValue(const + sums.value, sums.terms, sums.converged)
     raise ValueError(f"unknown series name {name!r}")
 
 
-def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, rel_tol: float,
-                   k: int = 2) -> SeriesValue:
+def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, k: int = 2) -> SeriesValue:
     """Sum over part sizes m_1 > ... > m_r of prod f(m_i), f(m) = sum_d d^(k-1) q^(md)/(k-1)!."""
     import numpy as np
 
     # f(m) <= q^m/(1-q)^k, so the tail over m > M is below q^(M+1)/(1-q)^(k+1):
-    # pick M with q^M < rel_tol * (1-q)^(k+1), plus a few digits of slack
-    need = math.log(rel_tol) + (k + 1) * math.log1p(-q) - 6.0
+    # pick M with q^M < _REL_TOL * (1-q)^(k+1), plus a few digits of slack
+    need = math.log(_REL_TOL) + (k + 1) * math.log1p(-q) - 6.0
     m_top = max(1, int(need / math.log(q)) + 1)
     capped = m_top > max_terms
     m_top = min(m_top, max_terms)
     if odd and m_top % 2 == 0:
         m_top = max(1, m_top - 1)
-    # sums[i] is the sum of prod f(m_j) over m_1 > ... > m_i among the sizes
-    # seen so far.  Sizes go downwards in chunks; within a chunk, level i is
-    # the cumulative sum of f times level i-1 as it stood before each size
-    # (the ordered-sum idiom of _tangent_engine).  f is summed without its
-    # 1/(k-1)!, which divides the total once per level at the end
-    sums = [0.0] * (r + 1)
-    step = 2 if odd else 1
-    terms = 0
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        for hi in range(m_top, 0, -step * _CHUNK):
-            f = _power_sum(k - 1, q ** np.arange(hi, max(hi - step * _CHUNK, 0), -step,
-                                                 dtype=np.float64))
-            before = np.ones_like(f)  # level 0 is 1 before every size
-            for i in range(1, r + 1):
-                w = f * before
-                w[0] += sums[i]  # seeding the first element keeps the additions sequential
-                csum = np.cumsum(w)
-                before = np.empty_like(csum)
-                before[0] = sums[i]
-                before[1:] = csum[:-1]
-                sums[i] = float(csum[-1])
-            terms += len(f)
-    value = sums[r] / math.factorial(k - 1) ** r
+    sizes = range(m_top, 0, -2 if odd else -1)
+
+    # f goes without its 1/(k-1)!, which divides the total once per level
+    def levels(ms, out):
+        return itertools.repeat(_power_sum(k - 1, np.power(q, ms, out=out)), r)
+
+    total = _ordered_sums(levels, r, sizes, float)[0][-1]
+    value = total / math.factorial(k - 1) ** r
     if capped:
         nxt = q ** (m_top + 1) / (1 - q) ** k
         if nxt > 1e-9 * abs(value):
             raise NonConvergenceError(
                 f"term cap {max_terms} reached with next term ~{nxt:.2e}")
-    return SeriesValue(value, terms, not capped)
+    return SeriesValue(value, len(sizes), not capped)
 
 
 def richardson(values: Sequence[float], steps: Sequence[float], levels: int = 2) -> float:
@@ -394,7 +393,7 @@ def limit_check(r: int, q_grid: Sequence[float]) -> LimitReport:
         raise ValueError("q_grid must contain values in (0, 1)")
     if list(grid) != sorted(grid):
         raise ValueError("q_grid must increase toward 1")
-    scaled = tuple((1 - q) ** (2 * r) * _eval_macmahon(r, q, False, 5_000_000, 1e-15).value
+    scaled = tuple((1 - q) ** (2 * r) * _eval_macmahon(r, q, False, _MAX_TERMS).value
                    for q in grid)
     target = math.pi ** (2 * r) / math.factorial(2 * r + 1)
     if len(grid) == 1:

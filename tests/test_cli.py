@@ -304,3 +304,50 @@ class TestRobustness:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ZeroDivisionError: ")
+
+
+class TestExplicitOptionValues:
+    """An option given as 0 is used as given, never replaced by its default."""
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--identity", "lemma", "--n-max", "0"),
+        ("verify", "--identity", "exp-qsh", "--n-max", "0"),
+        ("numeric", "--check", "monotangent", "--k", "2", "--cutoff", "0"),
+        ("numeric", "--check", "multitangent", "--ks", "2,2", "--cutoff", "0"),
+        ("express", "--target", "A:2", "--q-order", "0"),
+    ])
+    def test_zero_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("--check", "monotangent", "--k", "2"),
+        ("--check", "multitangent", "--ks", "2,2", "--cutoff", "1000"),
+        ("--check", "limit", "--r", "1"),
+    ])
+    def test_zero_tolerance_is_honoured(self, capsys, argv):
+        code, out, _ = run(capsys, "numeric", *argv, "--tol", "0", "--format", "json")
+        assert code == 2
+        payload = json.loads(out)["payload"]
+        assert payload["tolerance"] == 0
+        assert payload["rel_error"] > 0
+
+    def test_zero_weight_bound_has_no_representation(self, capsys):
+        code, out, _ = run(capsys, "express", "--target", "A:2", "--weight-bound", "0",
+                           "--format", "json")
+        assert code == 2
+        payload = json.loads(out)["payload"]
+        assert (payload["status"], payload["weight_bound"]) == ("no-representation", 0)
+
+    def test_negative_weight_bound_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "express", "--target", "A:2", "--weight-bound", "-2")
+        assert (code, out) == (1, "")
+        assert err == "error: --weight-bound must be >= 0\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-8"])
+    def test_tolerance_must_be_finite_and_non_negative(self, capsys, tol):
+        code, out, err = run(capsys, "numeric", "--check", "limit", "--r", "1", f"--tol={tol}")
+        assert (code, out) == (1, "")
+        assert err == "error: --tol must be a finite number >= 0\n"

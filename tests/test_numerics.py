@@ -304,7 +304,7 @@ class TestEvalMacmahonChunked:
 
     @staticmethod
     def check(r, q, odd, max_terms=5_000_000):
-        got = _eval_macmahon(r, q, odd, max_terms, 1e-15)
+        got = _eval_macmahon(r, q, odd, max_terms)
         value, terms, converged = scalar_eval_macmahon(r, q, odd, max_terms, 1e-15)
         # numpy's power and libm's pow differ in the last ulp of some q^m
         assert abs(got.value - value) <= 1e-12 * value
@@ -334,7 +334,7 @@ class TestEvalMacmahonChunked:
 
     def test_capped_path_still_raises(self):
         with pytest.raises(NonConvergenceError, match="term cap 1000"):
-            _eval_macmahon(2, 1 - 2.0**-10, False, 1000, 1e-15)
+            _eval_macmahon(2, 1 - 2.0**-10, False, 1000)
         # capped but with a negligible next term: a value, marked unconverged
         assert self.check(1, 1 - 2.0**-8, True, max_terms=10_000) == 5000
 
@@ -349,6 +349,69 @@ class TestEvalMacmahonChunked:
             tracemalloc.stop()
         assert (value.terms, value.converged) == (5_000_000, False)
         assert peak < 16 * 2**20
+
+
+def whole_size_sum(r, q, odd, k):
+    """_eval_macmahon over one whole array of all part sizes: (value, terms)."""
+    import numpy as np
+
+    need = math.log(1e-15) + (k + 1) * math.log1p(-q) - 6.0
+    m_top = max(1, int(need / math.log(q)) + 1)
+    if odd and m_top % 2 == 0:
+        m_top -= 1
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        sizes = np.arange(m_top, 0, -2 if odd else -1, dtype=np.float64)
+        f = numerics._power_sum(k - 1, q ** sizes)
+        before = np.ones_like(f)
+        for _ in range(r):
+            sums = np.cumsum(f * before)
+            before = np.concatenate(([0.0], sums[:-1]))
+    return float(sums[-1]) / math.factorial(k - 1) ** r, len(f)
+
+
+class TestEvalMacmahonBlocked:
+    """The blocked q-side sums against the whole-array ones, bit for bit."""
+
+    @staticmethod
+    def check(r, q, odd, k):
+        got = _eval_macmahon(r, q, odd, 5_000_000, k=k)
+        assert (got.value, got.terms) == whole_size_sum(r, q, odd, k), (r, q, odd, k)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_default_chunk(self, r, odd, k):
+        # q = 1 - 2^-12 walks 2.7e5 (k = 2) and 3.4e5 (k = 4) sizes, over many blocks
+        for q in (0.5, 1 - 2.0**-6, 1 - 2.0**-12):
+            self.check(r, q, odd, k)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_small_chunks(self, chunk, monkeypatch):
+        monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        for r, odd, k in itertools.product([1, 2, 3, 4], [False, True], [2, 4]):
+            for q in (0.5, 1 - 2.0**-4):
+                self.check(r, q, odd, k)
+
+
+class TestPythonScalars:
+    """Numeric results are Python floats and complexes, not numpy scalars."""
+
+    def test_series_values(self):
+        for name, param in (("A", 1), ("A", 3), ("C", 2), ("G", 4), ("Go", 2)):
+            assert type(eval_qseries_at(name, param, 0.9).value) is float
+
+    @pytest.mark.parametrize("grid", [[0.5], [1 - 2.0**-k for k in range(4, 9)]])
+    def test_limit_report(self, grid):
+        report = limit_check(2, grid)
+        assert all(type(x) is float for x in (report.target, report.extrapolated,
+                                               report.rel_error))
+        assert all(type(x) is float for x in report.grid + report.scaled_values)
+
+    @pytest.mark.parametrize("ks", [(2,), (3, 2), (2, 2, 2)])
+    def test_tangent_sum(self, ks):
+        value = multitangent(ks, 0.3 + 1j, 50)
+        assert all(type(x) is complex for x in (value.value, value.partial, value.correction))
+        assert all(type(x) is float for x in (value.tail_bound, value.neglected_bound))
 
 
 class TestRichardson:
