@@ -9,6 +9,10 @@ numeric   floating-point checks: lattice sums, ratio tests, q -> 1 limits
 
 Exit codes: 0 success/verified, 1 usage or parameter error (including
 parameters whose floats overflow), 2 mathematical mismatch or infeasibility.
+Every parameter error, the CLI's own ``UsageError`` or a library
+``ValueError``, prints one ``error:`` line and exits 1.  :func:`main` may
+be called many times in one process, on the one parser that
+:func:`build_parser` builds on first use.
 Exact payloads serialize rationals as strings like "3/640" or "7"; floats
 appear only in numeric reports.  Output goes to stdout, diagnostics to stderr.
 """
@@ -16,6 +20,7 @@ appear only in numeric reports.  Output goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -36,7 +41,6 @@ from .identities import (
     verify_main_c,
 )
 from .numerics import (
-    DivergenceError,
     NonConvergenceError,
     limit_check,
     lipschitz_value,
@@ -116,15 +120,13 @@ def _cmd_series(args) -> int:
         param = {"k": args.k}
         series = (eisenstein if name == "G" else eisenstein_odd)(args.k, order)
         label = f"{name}{args.k}"
-    elif name in ("g", "go"):
+    else:  # g or go; argparse restricts the choices
         if args.index is None:
             raise UsageError(f"series {name} needs --index, e.g. --index 2,2")
         parts = _parse_index(args.index)
         param = {"index": list(parts)}
         series = multiple_divisor_series(parts, order, odd=name == "go")
         label = f"{name}({args.index})"
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown series name {name!r}")
 
     coeffs = [str(c) for c in series.coeffs]
     payload = {"name": name, **param, "order": order, "coefficients": coeffs}
@@ -164,10 +166,7 @@ def _cmd_verify(args) -> int:
     identities = list(_IDENTITIES) if args.all else [args.identity]
     if identities == [None]:
         raise UsageError("verify needs --identity or --all")
-    try:
-        reports = [_IDENTITIES[name](args) for name in identities]
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    reports = [_IDENTITIES[name](args) for name in identities]
     payload = {"reports": [r.to_dict() for r in reports]}
     text = "\n".join(_verdict_text(r) for r in reports)
     params = {"identities": identities, "q_order": args.q_order,
@@ -314,31 +313,29 @@ def _cmd_numeric(args) -> int:
         _emit(args, "numeric", params, payload, text)
         return code
 
-    if args.check == "limit":
-        if args.r is None or args.r < 1:
-            raise UsageError("limit needs --r >= 1")
-        m = re.match(r"^(\d+)\.\.(\d+)$", args.grid_k)
-        if not m:
-            raise UsageError(f"cannot parse grid {args.grid_k!r}; expected e.g. 4..10")
-        k_lo, k_hi = int(m.group(1)), int(m.group(2))
-        if k_lo > k_hi or k_lo < 1:
-            raise UsageError("grid bounds must satisfy 1 <= lo <= hi")
-        grid = [1 - 2.0 ** (-k) for k in range(k_lo, k_hi + 1)]
-        tol = (1e-3 if args.r == 1 else 1e-2) if args.tol is None else args.tol
-        report = limit_check(args.r, grid)
-        payload = {
-            "check": "limit", "r": args.r, "grid": list(report.grid),
-            "scaled_values": list(report.scaled_values),
-            "extrapolated": report.extrapolated, "target": report.target,
-            "rel_error": report.rel_error, "tolerance": tol,
-        }
-        text = (f"limit r={args.r}: extrapolated {report.extrapolated:.10g}, "
-                f"target {report.target:.10g}, rel_error={report.rel_error:.3e} (tol {tol:g})")
-        params = {"r": args.r, "grid_k": args.grid_k}
-        _emit(args, "numeric", params, payload, text)
-        return EXIT_OK if report.rel_error <= tol else EXIT_MISMATCH
-
-    raise UsageError(f"unknown numeric check {args.check!r}")
+    # limit; argparse restricts the choices
+    if args.r is None or args.r < 1:
+        raise UsageError("limit needs --r >= 1")
+    m = re.match(r"^(\d+)\.\.(\d+)$", args.grid_k)
+    if not m:
+        raise UsageError(f"cannot parse grid {args.grid_k!r}; expected e.g. 4..10")
+    k_lo, k_hi = int(m.group(1)), int(m.group(2))
+    if k_lo > k_hi or k_lo < 1:
+        raise UsageError("grid bounds must satisfy 1 <= lo <= hi")
+    grid = [1 - 2.0 ** (-k) for k in range(k_lo, k_hi + 1)]
+    tol = (1e-3 if args.r == 1 else 1e-2) if args.tol is None else args.tol
+    report = limit_check(args.r, grid)
+    payload = {
+        "check": "limit", "r": args.r, "grid": list(report.grid),
+        "scaled_values": list(report.scaled_values),
+        "extrapolated": report.extrapolated, "target": report.target,
+        "rel_error": report.rel_error, "tolerance": tol,
+    }
+    text = (f"limit r={args.r}: extrapolated {report.extrapolated:.10g}, "
+            f"target {report.target:.10g}, rel_error={report.rel_error:.3e} (tol {tol:g})")
+    params = {"r": args.r, "grid_k": args.grid_k}
+    _emit(args, "numeric", params, payload, text)
+    return EXIT_OK if report.rel_error <= tol else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +343,7 @@ def _cmd_numeric(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="macmahon",
@@ -411,16 +409,13 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except RouteMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except RecursionError as exc:
         print(f"error: recursion too deep: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DivergenceError, NonConvergenceError, ValueError) as exc:
+    except (NonConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ArithmeticError as exc:

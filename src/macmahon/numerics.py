@@ -142,7 +142,7 @@ def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = (
                     # w may be the next level's weights too: restore w[0]
                     first = w[0]
                     w[0] += tot[0][0]
-                    np.cumsum(w, out=pre[0][1:m + 1])
+                    np.add.accumulate(w, out=pre[0][1:m + 1])
                     w[0] = first
                     pre[0][0], tot[0][0] = tot[0][0], pre[0][m]
                     for dst, seed in zip(pre[1:], seeds):
@@ -151,7 +151,7 @@ def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = (
                 for src, dst, sums in zip(pre, spare, tot):
                     terms = np.multiply(w, src[:m], out=dst[1:m + 1])
                     terms[0] += sums[i]
-                    np.cumsum(terms, out=terms)
+                    np.add.accumulate(terms, out=terms)
                     dst[0], sums[i] = sums[i], dst[m]
                 pre, spare = spare, pre
     for sums, seed in zip(tot[1:], seeds):

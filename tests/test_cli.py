@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface and its contracts."""
 
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +22,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python_dash_m(*argv):
+    """``python -m macmahon *argv`` in a fresh process: (exit code, stdout, stderr)."""
+    src = str(Path(macmahon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    proc = subprocess.run([sys.executable, "-m", "macmahon", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 class TestSeriesCommand:
@@ -224,11 +236,7 @@ class TestTopLevel:
         (["verify", "--identity", "geng22"], "geng22: verified (t_order=9, q_order=30)\n"),
     ])
     def test_python_dash_m(self, argv, out):
-        src = str(Path(macmahon.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "macmahon", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+        assert python_dash_m(*argv) == (0, out, "")
 
 
 class TestRobustness:
@@ -351,3 +359,114 @@ class TestExplicitOptionValues:
         code, out, err = run(capsys, "numeric", "--check", "limit", "--r", "1", f"--tol={tol}")
         assert (code, out) == (1, "")
         assert err == "error: --tol must be a finite number >= 0\n"
+
+
+# every subcommand in text and JSON, argparse errors, --help and --version,
+# the CLI's own usage errors, library ValueErrors and an exit-2 verdict
+CALLS = [
+    ("series", "--name", "A", "--r", "2", "--order", "5"),
+    ("series", "--name", "A", "--r", "2", "--order", "5", "--format", "json"),
+    ("series", "--name", "go", "--index", "2,2", "--order", "6", "--format", "json"),
+    ("series", "--name", "G", "--k", "3"),
+    ("series", "--name", "Z"),
+    ("verify", "--identity", "lemma", "--n-max", "20"),
+    ("verify", "--identity", "main-a", "--q-order", "8", "--x-order", "6",
+     "--format", "json"),
+    ("verify", "--identity", "exp-qsh", "--n-max", "3", "--format", "json"),
+    ("verify", "--identity", "geng22", "--t-order", "5", "--q-order", "8",
+     "--format", "json"),
+    ("verify", "--all", "--q-order", "8", "--x-order", "4", "--t-order", "5",
+     "--n-max", "10", "--format", "json"),
+    ("verify",),
+    ("verify", "--identity", "main-a", "--x-order", "7"),
+    ("verify", "--identity", "main-a", "--x-order", "7", "--format", "json"),
+    ("express", "--target", "A:2"),
+    ("express", "--target", "C:2", "--format", "json"),
+    ("express", "--target", "A:2", "--generators", "G2"),
+    ("express", "--target", "A:2", "--generators", "G2", "--format", "json"),
+    ("express", "--target", "B:1"),
+    ("express", "--target", "A:1", "--generators", "H5", "--format", "json"),
+    ("express",),
+    ("numeric", "--check", "monotangent", "--k", "2", "--cutoff", "1000"),
+    ("numeric", "--check", "monotangent", "--k", "2", "--cutoff", "1000",
+     "--format", "json"),
+    ("numeric", "--check", "multitangent", "--ks", "2,2", "--cutoff", "1000"),
+    ("numeric", "--check", "multitangent", "--ks", "2,2", "--cutoff", "1000",
+     "--format", "json"),
+    ("numeric", "--check", "limit", "--r", "1", "--grid-k", "4..9"),
+    ("numeric", "--check", "limit", "--r", "1", "--grid-k", "4..9", "--format", "json"),
+    ("numeric", "--check", "limit", "--r", "1", "--tol", "0", "--format", "json"),
+    ("numeric", "--check", "monotangent", "--k", "2", "--cutoff", "1000000000000"),
+    ("numeric", "--check", "limit", "--r", "1", "--tol", "nan"),
+    ("numeric", "--check", "bessel"),
+    ("--help",),
+    ("series", "--help"),
+    ("--version",),
+    (),
+    ("frobnicate",),
+]
+
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def two_passes():
+    """Every call of ``CALLS`` in one process, twice, at a fixed help width."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COLUMNS", "80")
+        return [[call(argv) for argv in CALLS] for _ in range(2)]
+
+
+class TestManyCallsInOneProcess:
+    def test_both_passes_agree(self, two_passes):
+        first, second = two_passes
+        for argv, a, b in zip(CALLS, first, second):
+            assert a == b, argv
+
+    def test_every_parameter_error_is_one_error_line(self, two_passes):
+        for argv, (code, out, err) in zip(CALLS, two_passes[0]):
+            if code == 1 and not err.startswith("usage: "):
+                assert out == "", argv
+                assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+    @pytest.mark.parametrize("argv", [
+        ("series", "--name", "A", "--r", "2", "--order", "5", "--format", "json"),
+        ("series", "--name", "Z"),
+        ("verify", "--identity", "main-a", "--x-order", "7"),
+        ("express", "--target", "A:2", "--generators", "G2", "--format", "json"),
+        ("--version",),
+    ])
+    def test_matches_a_fresh_process(self, two_passes, argv):
+        assert python_dash_m(*argv) == two_passes[1][CALLS.index(argv)]
+
+    def test_json_envelope(self, two_passes):
+        checked = 0
+        for argv, (code, out, _) in zip(CALLS, two_passes[0]):
+            if "json" not in argv or code == 1:
+                continue
+            loaded = json.loads(out)
+            assert list(loaded) == ["version", "command", "parameters", "payload"], argv
+            assert loaded["version"] == macmahon.__version__
+            assert loaded["command"] == argv[0]
+            assert json.dumps(loaded) + "\n" == out, argv
+            checked += 1
+        assert checked == 12
+
+    def test_second_call_builds_no_parser(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        assert call(["--version"])[0] == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert call(["series", "--name", "G", "--k", "2", "--order", "2"]) == \
+            (0, "G2 to order 2\ncoefficients: -1/24 1 3\n", "")
+        assert built == []
