@@ -80,7 +80,7 @@ def _emit(args, command: str, parameters: dict, payload: dict, text: str) -> Non
 
 def _parse_index(raw: str) -> tuple:
     try:
-        parts = tuple(int(p) for p in raw.split(","))
+        parts = tuple([int(p) for p in raw.split(",")])
     except ValueError:
         raise UsageError(f"cannot parse index {raw!r}; expected e.g. 2,2")
     if not parts or any(p < 1 for p in parts):

@@ -9,11 +9,30 @@ The two generating-series identities checked by :func:`verify_main_a` and
         =         exp( sum_{j>=1} (-1)^(j-1)/j * G^o_{2j}(q) * S^(2j) ).
 
 Both sides are even in X, so the verifiers work on the X^2-graded form
-(Y = X^2) and compare every coefficient of Y^r q^n in the requested window;
-the prefactor S/X is itself realized as an even series.  Expanding the same
-right-hand side over formal generators instead of actual q-expansions
-(:func:`extract_polynomials`) yields closed polynomial expressions for A_r
-and C_r in the (odd) Eisenstein series.
+(Y = X^2) and compare every coefficient of Y^r q^n in the requested window.
+
+Each identity is checked as two exact factors.  Write G_{2j} = G_{2j}(0) +
+G'_{2j}, with the constant term G_{2j}(0) = -B_{2j}/(2 (2j)!) and the
+divisor sum G'_{2j}.  exp turns sums into products, so the right-hand side
+of the first identity is F * E with
+
+    F = (S/X) * exp( sum_j (-1)^(j-1)/j * G_{2j}(0) * S^(2j) ),
+    E =         exp( sum_j (-1)^(j-1)/j * G'_{2j}(q) * S^(2j) ).
+
+F = 1 is Euler's product for sin, log(sin t / t) = sum_n (-1)^n 2^(2n-1)
+B_{2n} t^(2n) / (n (2n)!) at t = S/2.  It is checked as a rational series in
+U = S^2, where S/X = (S/2)/sin(S/2) and it reads exp(sum_j (-1)^(j-1)/j *
+G_{2j}(0) * U^j) = sin(S/2)/(S/2); U = Y * (1 + O(Y)), so F is 1 to Y^r
+exactly when this holds to U^r, and the first wrong coefficient is the same
+in both.  Then 1 + sum A_r Y^r = E is checked on every Y^r q^n: it has no
+Bernoulli denominators and no prefactor.  Together the two are exactly the
+first identity.  For the second, G^o_{2j}(0) = 0, so its constant factor is
+exp(0) = 1; the same two checks run, with 1 in place of sin(S/2)/(S/2).
+
+Expanding the right-hand side over formal generators instead of actual
+q-expansions (:func:`extract_polynomials`) yields closed polynomial
+expressions for A_r and C_r in the (odd) Eisenstein series; there the
+prefactor S/X multiplies the coefficients as rational scalars.
 
 :func:`verify_geng22` checks the weight-graded counterpart: with
 L = (2*pi*i)^2 tracking powers of the period,
@@ -45,7 +64,6 @@ from .series import (
     LambdaPoly,
     Series,
     SparsePoly,
-    arcsin_series,
     series_ring,
 )
 
@@ -112,7 +130,7 @@ def _ordered_monomials(poly: GeneratorPoly, names: Sequence[str],
     """
     weights = weights or {n: i + 1 for i, n in enumerate(names)}
     return sorted((m for m in poly.terms if m),
-                  key=lambda m: (sum(weights[n] for n in m), tuple(-m.count(n) for n in names)))
+                  key=lambda m: (sum(weights[n] for n in m), tuple([-m.count(n) for n in names])))
 
 
 def format_generator_poly(poly: GeneratorPoly, names: Sequence[str],
@@ -192,21 +210,27 @@ class VerdictReport:
 
 def _even_arcsin_factor(y_order: int) -> Series:
     """u(Y) with u(X^2) = (2/X) * arcsin(X/2): coefficient of Y^j is C(2j,j)/(16^j (2j+1))."""
-    two_asin_half = arcsin_series(2 * y_order + 1).dilate(Fraction(1, 2)) * 2
-    return two_asin_half.odd_part()
+    return Series([Fraction(comb(2 * j, j), 16**j * (2 * j + 1)) for j in range(y_order + 1)])
+
+
+def _half_sinc(order: int) -> Series:
+    """sin(S/2)/(S/2) in U = S^2: coefficient of U^n is (-1)^n/(4^n (2n+1)!)."""
+    return Series([Fraction((-1) ** n, 4**n * factorial(2 * n + 1)) for n in range(order + 1)])
 
 
 def _scale_by_rationals(f: Series, u: Series) -> Series:
     """f * u for a series u over the rationals whose coefficients act on f's as scalars."""
     order = min(f.order, u.order)
-    out = []
-    for k in range(order + 1):
-        acc = f.ring.zero
-        for j in range(k + 1):
-            if u[j]:
-                acc = acc + f[k - j] * u[j]
-        out.append(acc)
-    return Series(out, f.ring)
+    return f._combinations([[(k - j, u[j]) for j in range(k + 1) if u[j]]
+                            for k in range(order + 1)])
+
+
+def _log_series(gen_vals: dict, order: int, ring: CoeffRing) -> Series:
+    """sum_{j>=1} (-1)^(j-1)/j * gen_vals[j] * U^j, the exponent of the RHS in U = S^2."""
+    return Series(
+        [ring.zero] + [gen_vals[j] * Fraction(1 if j % 2 else -1, j) for j in range(1, order + 1)],
+        ring,
+    )
 
 
 def _generating_rhs(gen_vals: dict, y_order: int, inner: CoeffRing, prefactor: bool) -> Series:
@@ -219,12 +243,7 @@ def _generating_rhs(gen_vals: dict, y_order: int, inner: CoeffRing, prefactor: b
     """
     u = _even_arcsin_factor(y_order)
     asin_sq = (u * u).shift(1)  # (2 arcsin(X/2))^2 as a series in Y
-    phi = Series(
-        [inner.zero]
-        + [gen_vals[j] * Fraction(1 if j % 2 else -1, j) for j in range(1, y_order + 1)],
-        inner,
-    )
-    rhs = phi.compose(asin_sq).exp()
+    rhs = _log_series(gen_vals, y_order, inner).compose(asin_sq).exp()
     return _scale_by_rationals(rhs, u) if prefactor else rhs
 
 
@@ -259,16 +278,36 @@ def _first_mismatch(identity: str, params: dict, lhs: Series, rhs: Series,
 
 
 def _verify_main(odd: bool, q_order: int, x_order: int) -> VerdictReport:
-    """The A_r (or, with ``odd``, the C_r) generating identity on a finite window."""
+    """The A_r (or, with ``odd``, the C_r) generating identity on a finite window.
+
+    The identity is checked as two exact factors (see the module
+    docstring).  Both sides are compared at every Y^r q^n, and the first
+    coordinate where either factor fails is reported.  A constant factor
+    that is off first at U^r is off first at Y^r by the same amount: at
+    q^0 the identity reads A_r(0) against that coefficient, and both are
+    reported at (x_exp 2r, q_exp 0).
+    """
     _validate_window(q_order, x_order)
     y_order = x_order // 2
+    identity = "main-c" if odd else "main-a"
+    params = {"q_order": q_order, "x_order": x_order}
     inner = series_ring(RATIONALS, q_order)
     gen = eisenstein_odd if odd else eisenstein
     gens = {j: gen(2 * j, q_order) for j in range(1, y_order + 1)}
-    rhs = _generating_rhs(gens, y_order, inner, prefactor=not odd)
+    consts = {j: g.truncate(0)[0] for j, g in gens.items()}  # g[0] builds every Fraction of g
+    # the constant factor in U = S^2: exp(phi_0(U)) against the reciprocal of
+    # the prefactor, sin(S/2)/(S/2) for A (Euler's product for sin) and 1 for C
+    target = Series.constant(1, y_order) if odd else _half_sinc(y_order)
+    off = _log_series(consts, y_order, RATIONALS).exp() - target
+    rhs = _generating_rhs({j: g - consts[j] for j, g in gens.items()}, y_order, inner,
+                          prefactor=False)
     lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=odd), inner)
-    return _first_mismatch("main-c" if odd else "main-a",
-                           {"q_order": q_order, "x_order": x_order}, lhs, rhs, "x_exp", 2)
+    report = _first_mismatch(identity, params, lhs, rhs, "x_exp", 2)
+    r = next((r for r in range(1, y_order + 1) if off[r]), None)
+    if r is None or (not report.ok and report.mismatch.coords["x_exp"] < 2 * r):
+        return report
+    return VerdictReport(identity, params, "mismatch",
+                         Mismatch({"x_exp": 2 * r, "q_exp": 0}, str(lhs[r][0]), str(off[r])))
 
 
 def verify_main_a(q_order: int, x_order: int) -> VerdictReport:
@@ -344,7 +383,7 @@ def _candidate_monomials(weights: Sequence[int], bound: int) -> tuple:
 
     rec(0, [], 0)
     out.sort(key=lambda exps: (sum(e * w for e, w in zip(exps, weights)),
-                               tuple(-e for e in exps)))
+                               tuple([-e for e in exps])))
     return out, len(out) + _SOLVE_MARGIN
 
 

@@ -170,8 +170,11 @@ def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     import numpy as np
 
     def levels(ns, out):
-        for k in ks:
-            yield np.power(np.add(ns, tau, out=out), -k, out=out)
+        # a level with the previous level's exponent reuses its weights
+        for i, k in enumerate(ks):
+            if not i or k != ks[i - 1]:
+                np.power(np.add(ns, tau, out=out), -k, out=out)
+            yield out
 
     # only the innermost level has an upper seed, the others' are
     # O(cutoff^-(k_i + k_(i-1) - 1)) and folded into neglected_bound
@@ -224,7 +227,7 @@ def multitangent(ks, tau: complex, cutoff: int) -> TangentSum:
     Depth 1 is the monotangent; ``monotangent`` is literally this function
     with a single exponent.
     """
-    ks = tuple(int(k) for k in (ks if isinstance(ks, (tuple, list)) else (ks,)))
+    ks = tuple([int(k) for k in (ks if isinstance(ks, (tuple, list)) else (ks,))])
     if not ks:
         raise ValueError("need at least one exponent")
     if any(k < 2 for k in ks):
@@ -253,7 +256,7 @@ def _eulerian(n: int) -> tuple:
     for m in range(2, n + 1):
         row = [(j + 1) * (row[j] if j < m - 1 else 0) + (m - j) * (row[j - 1] if j else 0)
                for j in range(m)]
-    return tuple(float(c) for c in row)
+    return tuple([float(c) for c in row])
 
 
 def _power_sum(n: int, x):
@@ -388,13 +391,13 @@ def limit_check(r: int, q_grid: Sequence[float]) -> LimitReport:
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    grid = tuple(float(q) for q in q_grid)
+    grid = tuple([float(q) for q in q_grid])
     if not grid or any(not 0 < q < 1 for q in grid):
         raise ValueError("q_grid must contain values in (0, 1)")
     if list(grid) != sorted(grid):
         raise ValueError("q_grid must increase toward 1")
-    scaled = tuple((1 - q) ** (2 * r) * _eval_macmahon(r, q, False, _MAX_TERMS).value
-                   for q in grid)
+    scaled = tuple([(1 - q) ** (2 * r) * _eval_macmahon(r, q, False, _MAX_TERMS).value
+                    for q in grid])
     target = math.pi ** (2 * r) / math.factorial(2 * r + 1)
     if len(grid) == 1:
         extrapolated = scaled[0]

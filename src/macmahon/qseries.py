@@ -137,7 +137,7 @@ class Index:
     parts: tuple
 
     def __init__(self, parts: Sequence[int]):
-        parts = tuple(int(p) for p in parts)
+        parts = tuple([int(p) for p in parts])
         if not parts or any(p < 1 for p in parts):
             raise ValueError("an index needs at least one part, all parts >= 1")
         object.__setattr__(self, "parts", parts)
@@ -179,7 +179,7 @@ def _divisor_chain_rows(parts: tuple, order: int, odd: bool) -> list:
     slots downwards uses each size at most once per chain.
     """
     r = len(parts)
-    exps = (None,) + tuple(k - 1 for k in reversed(parts))
+    exps = (None,) + tuple([k - 1 for k in reversed(parts)])
     rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(r)]
     step = 2 if odd else 1
     for i, m in enumerate(range(1, order + 1, step)):

@@ -66,7 +66,7 @@ class WordCombo(SparsePoly):
 
     @staticmethod
     def _monomial(word):
-        word = tuple(operator.index(x) for x in word)
+        word = tuple([operator.index(x) for x in word])
         if any(x < 1 for x in word):
             raise ValueError("letter indices must be >= 1")
         return word

@@ -39,6 +39,8 @@ Costs, for order n and coefficient products counted as one step each:
   product of the packed numerators by Kronecker substitution, so the
   convolution runs in CPython's Karatsuba multiply; the denominators
   multiply.  The other rings use the O(n^2) schoolbook convolution.
+  Slots of 1, 2, 4 or 8 bytes are packed and read by ``struct`` in C,
+  wider ones byte string by byte string.
 * ``a + b`` and scalar products of a series over :data:`RATIONALS` take
   O(n) integer operations plus the gcd pass.
 * :meth:`Series.exp` uses the recurrence for b' = a'b: O(n^2) coefficient
@@ -47,11 +49,21 @@ Costs, for order n and coefficient products counted as one step each:
   products) and then takes O(n^2) coefficient-times-scalar products.  An
   inner series over :data:`RATIONALS` acts through rational scalars, so the
   outer coefficients are never multiplied by each other.
+
+The recurrence of :meth:`Series.exp` and the sums of :meth:`Series.compose`
+are one algorithm for every ring; only the way one output coefficient's
+sum is formed depends on the ring (:class:`_RingRows`).  Over q-series in
+integer form (series in X or Y of rational q-series) each operand is
+packed once per call and slot width, and each output coefficient is one
+sum of packed products or scalar multiples, read out and reduced once:
+O(n^2) big-integer products and O(n) read-outs, where the term-by-term sum
+takes O(n^2) of each, plus a gcd pass per term.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Callable
@@ -253,34 +265,193 @@ def _depth(x) -> int:
     return x._series_depth if isinstance(x, Series) else 0
 
 
+# the struct codes of the slot widths in bytes that a C integer holds: such
+# slots are packed and read by struct, not one by one
+_SLOT_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
+
+
+def _width(bits: int) -> int:
+    """Bytes of a slot for ints of ``bits`` bits and a sign: a C integer size, or whole bytes."""
+    width = (bits + 8) // 8
+    return next((w for w in _SLOT_CODES if w >= width), width)
+
+
+def _bias(width: int, size: int) -> int:
+    """Half a slot in each of ``size`` slots of ``width`` bytes."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")
+
+
 def _pack(nums, width: int) -> int:
-    """sum_i nums[i] * 256^(width*i) for signed ints that fit in width-byte slots."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in nums)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in nums)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    """sum_i nums[i] * 256^(width*i) for signed ints that lie strictly within half a slot of zero.
+
+    Each number, shifted up by half a slot, is non-negative; the shift is
+    taken off the packed int as a whole.  For a C integer slot the shifted
+    number is the two's complement one with its top bit flipped.
+    """
+    bias = _bias(width, len(nums))
+    code = _SLOT_CODES.get(width)
+    if code:
+        raw = struct.pack(f"<{len(nums)}{code}", *nums)
+        return (int.from_bytes(raw, "little") ^ bias) - bias
+    half = 1 << (8 * width - 1)
+    return int.from_bytes(b"".join([(c + half).to_bytes(width, "little") for c in nums]),
+                          "little") - bias
 
 
-def _kronecker_ints(a: list, b: list) -> list:
+def _unpack(value: int, width: int, size: int) -> tuple:
+    """The ``size`` low slots of a packed int, as signed ints.
+
+    Every low slot must lie strictly within half a slot of zero.  Shifted up
+    by half a slot they are non-negative, so no carry crosses a slot; the
+    slots above ``size`` are dropped, whatever they hold.
+    """
+    bias = _bias(width, size)
+    shifted = (value + bias) & ((1 << (8 * width * size)) - 1)
+    code = _SLOT_CODES.get(width)
+    if code:
+        return struct.unpack(f"<{size}{code}", (shifted ^ bias).to_bytes(width * size, "little"))
+    half = 1 << (8 * width - 1)
+    raw = shifted.to_bytes(width * size, "little")
+    return tuple([int.from_bytes(raw[k:k + width], "little") - half
+                  for k in range(0, width * size, width)])
+
+
+def _kronecker_ints(a, b) -> tuple:
     """Truncated product of two equally long lists of ints, as one int product.
 
     Every product coefficient is a sum of at most ``len(a)`` products, so a
-    slot of bitlen(len * max|a| * max|b|) + 1 bits (the extra bit for the
-    sign), rounded up to whole bytes, holds it exactly.  The packed operands
-    are multiplied as plain ints; adding half a slot to each of the low
-    ``len(a)`` slots makes them all non-negative, so they are read off the
-    bytes of the product without carries.
+    slot for bitlen(len * max|a| * max|b|) bits (:func:`_width`) holds it
+    exactly.  The packed operands are multiplied as plain ints and the low
+    ``len(a)`` slots read off.
     """
     size = len(a)
     bound = size * max(map(abs, a)) * max(map(abs, b))
     if not bound:
-        return [0] * size
-    width = (bound.bit_length() + 8) // 8
-    half = 1 << (8 * width - 1)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    low = (_pack(a, width) * _pack(b, width) + bias) & ((1 << (8 * width * size)) - 1)
-    raw = low.to_bytes(width * size, "little")
-    return [int.from_bytes(raw[k:k + width], "little") - half
-            for k in range(0, width * size, width)]
+        return (0,) * size
+    width = _width(bound.bit_length())
+    return _unpack(_pack(a, width) * _pack(b, width), width, size)
+
+
+class _RingRows:
+    """The coefficient sums of :meth:`Series.exp` and :meth:`Series.compose`, term by term.
+
+    The rows are ring elements, each with an index.  :meth:`add_products`
+    appends (sum of rows[x] * rows[y] over its (x, y) pairs) / den;
+    :meth:`scalar_sums` gives, per output, the sum of rows[x] * s over its
+    (s, x) pairs.  Subclasses form the same sums in integers.
+    """
+
+    def __init__(self, ring: CoeffRing):
+        self.zero = ring.zero
+        self.rows = []
+
+    def add(self, c) -> int:
+        self.rows.append(c)
+        return len(self.rows) - 1
+
+    def add_products(self, pairs: list, den: int) -> int:
+        acc = self.zero
+        for x, y in pairs:
+            acc = acc + self.rows[x] * self.rows[y]
+        return self.add(acc / den)
+
+    def scalar_sums(self, outputs: list) -> list:
+        out = []
+        for terms in outputs:
+            acc = self.zero
+            for s, x in terms:
+                acc = acc + self.rows[x] * s
+            out.append(acc)
+        return out
+
+
+class _PackedRows(_RingRows):
+    """The sums of :class:`_RingRows` over integer-form q-series of one length.
+
+    An output is formed over one common denominator as one packed int (the
+    products by Kronecker substitution, as in :func:`_kronecker_ints`),
+    then read out and reduced once.  A row is packed from its first nonzero
+    numerator on, once per call and slot width, and shifted into place; a
+    product only multiplies the slots that reach below the row length.
+    """
+
+    def __init__(self, ring: CoeffRing):
+        super().__init__(ring)
+        self.size = len(ring.one)
+        self.width = 1
+        self.bits = []  # bit length of each row's largest |numerator|
+        self.vals = []  # index of each row's first nonzero numerator (size if none)
+        self.packed = []  # (width, numerators from vals[x] on packed at that width) of each row
+
+    def add(self, c) -> int:
+        nums = c._nums
+        self.bits.append(max(map(abs, nums)).bit_length())
+        self.vals.append(next((i for i, n in enumerate(nums) if n), self.size))
+        self.packed.append((0, 0))
+        return super().add(c)
+
+    def _packed(self, x: int) -> int:
+        entry = self.packed[x]
+        if entry[0] != self.width:
+            entry = self.packed[x] = (self.width, _pack(self.rows[x]._nums[self.vals[x]:],
+                                                        self.width))
+        return entry[1]
+
+    def _sums(self, outputs: list, products: bool) -> list:
+        """Each output (den, [(s, x, y)]) as the series sum s * rows[x] * rows[y] / den.
+
+        y is None for a scalar multiple of rows[x].  The weights of an
+        output are brought over one denominator; the slots then hold
+        sum |weight| * max|rows[x]| * max|rows[y]|, times the row length for
+        products, plus a sign bit.
+        """
+        rows, bits = self.rows, self.bits
+        plans, need = [], 0
+        for den, terms in outputs:
+            dens = [s.denominator * rows[x]._den * (rows[y]._den if products else 1)
+                    for s, x, y in terms]
+            common = lcm(*dens)
+            weights = [s.numerator * (common // d) for (s, _, _), d in zip(terms, dens)]
+            for w, (_, x, y) in zip(weights, terms):
+                need = max(need, w.bit_length() + bits[x] + (bits[y] if products else 0))
+            plans.append((common * den, weights, terms))
+        need += max([len(t) for _, t in outputs]).bit_length()
+        if products:
+            need += self.size.bit_length()
+        self.width = width = max(self.width, _width(need))
+        packed, vals, out = self._packed, self.vals, []
+        for common, weights, terms in plans:
+            total = 0
+            for w, (_, x, y) in zip(weights, terms):
+                shift = vals[x] + (vals[y] if products else 0)
+                if shift >= self.size:
+                    continue
+                p = packed(x)
+                if products:
+                    # only the slots that land below the row length
+                    mask = (1 << (8 * width * (self.size - shift))) - 1
+                    p = (p & mask) * (packed(y) & mask)
+                total += (p if w == 1 else w * p) << (8 * width * shift)
+            out.append(Series._from_ints(_unpack(total, width, self.size), common))
+        return out
+
+    def add_products(self, pairs: list, den: int) -> int:
+        return self.add(self._sums([(den, [(1, x, y) for x, y in pairs])], True)[0])
+
+    def scalar_sums(self, outputs: list) -> list:
+        return self._sums([(1, [(s, x, None) for s, x in terms]) for terms in outputs], False)
+
+
+def _row_sums(ring: CoeffRing, rows) -> _RingRows:
+    """:class:`_PackedRows` over integer-form q-series of one length, else :class:`_RingRows`.
+
+    ``ring``'s unit and every one of ``rows`` must be such q-series.
+    """
+    one = ring.one
+    if isinstance(one, Series) and one._nums is not None and all(
+            [c._nums is not None and c._len == one._len for c in rows]):
+        return _PackedRows(ring)
+    return _RingRows(ring)
 
 
 class Series:
@@ -309,14 +480,14 @@ class Series:
             raise ValueError("a series needs at least its constant coefficient")
         self._nums = self._den = self._coeffs = None
         if ring is RATIONALS and all(isinstance(c, (int, Fraction)) for c in coeffs):
-            den = lcm(*(c.denominator for c in coeffs))
+            den = lcm(*[c.denominator for c in coeffs])
             # over the lcm of reduced denominators the numerators share no factor with it
-            self._nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+            self._nums = tuple([c.numerator * (den // c.denominator) for c in coeffs])
             self._den = den
             self._series_depth = 1
         else:
-            self._coeffs = tuple(ring.one * c if isinstance(c, (int, Fraction))
-                                 else _reject_float(c) for c in coeffs)
+            self._coeffs = tuple([ring.one * c if isinstance(c, (int, Fraction))
+                                  else _reject_float(c) for c in coeffs])
             self._series_depth = 1 + _depth(self._coeffs[0])
         self.ring = ring
         self._len = len(coeffs)
@@ -342,13 +513,15 @@ class Series:
     @property
     def coeffs(self) -> tuple:
         if self._coeffs is None:
-            self._coeffs = tuple(Fraction(c, self._den) for c in self._nums)
+            self._coeffs = tuple([Fraction(c, self._den) for c in self._nums])
         return self._coeffs
 
     @classmethod
     def constant(cls, value, order: int, ring: CoeffRing = RATIONALS) -> "Series":
         if order < 0:
             raise ValueError("order must be >= 0")
+        if ring is RATIONALS and isinstance(value, (int, Fraction)):
+            return cls._from_ints([value.numerator] + [0] * order, value.denominator)
         return cls((value,) + (ring.zero,) * order, ring)
 
     @property
@@ -400,13 +573,15 @@ class Series:
                 return Series._from_ints(
                     [a * ma + b * mb for a, b in zip(self._nums, other._nums)], da * ma)
             n = min(self.order, other.order)
-            return Series(
-                tuple(a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])),
-                self.ring,
-            )
+            return Series([a + b for a, b in zip(self.coeffs[: n + 1], other.coeffs[: n + 1])],
+                          self.ring)
         if isinstance(other, Series) and other._series_depth > self._series_depth:
             return other + self  # the deeper series absorbs this one as a scalar
         _reject_float(other)
+        if self._den is not None and isinstance(other, (int, Fraction)):
+            nums = [c * other.denominator for c in self._nums]
+            nums[0] += other.numerator * self._den
+            return Series._from_ints(nums, self._den * other.denominator)
         return Series((self.coeffs[0] + other,) + self.coeffs[1:], self.ring)
 
     __radd__ = __add__
@@ -414,7 +589,7 @@ class Series:
     def __neg__(self):
         if self._den is not None:
             return self._scaled(-1, 1)
-        return Series(tuple(-c for c in self._coeffs), self.ring)
+        return Series([-c for c in self._coeffs], self.ring)
 
     def __sub__(self, other):
         return self + (-other)
@@ -452,13 +627,13 @@ class Series:
                     if b_nonzero[k - i]:
                         acc = acc + c * b[k - i]
                 out.append(acc)
-            return Series(tuple(out), self.ring)
+            return Series(out, self.ring)
         if isinstance(other, Series) and other._series_depth > self._series_depth:
             return other * self  # the deeper series absorbs this one as a scalar
         if self._den is not None and isinstance(other, (int, Fraction)):
             return self._scaled(other.numerator, other.denominator)
         _reject_float(other)
-        return Series(tuple(c * other for c in self.coeffs), self.ring)
+        return Series([c * other for c in self.coeffs], self.ring)
 
     __rmul__ = __mul__
 
@@ -470,7 +645,7 @@ class Series:
                 raise ZeroDivisionError("series division by zero")
             return self._scaled(other.denominator, other.numerator)
         _reject_float(other)
-        return Series(tuple(c / other for c in self.coeffs), self.ring)
+        return Series([c / other for c in self.coeffs], self.ring)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -519,7 +694,7 @@ class Series:
         for i, a in enumerate(self.coeffs):
             power = 1 if i == 0 else (c if i == 1 else power * c)
             out.append(a if i == 0 else a * power)
-        return Series(tuple(out), self.ring)
+        return Series(out, self.ring)
 
     def even_part(self) -> "Series":
         """Coefficients of even powers, reindexed: f(x) = g(x^2) + x*h(x^2) -> g."""
@@ -532,7 +707,7 @@ class Series:
         return self._select(lambda c, zero: c[1::2])
 
     def map_coefficients(self, fn: Callable, ring: CoeffRing) -> "Series":
-        return Series(tuple(fn(c) for c in self.coeffs), ring)
+        return Series([fn(c) for c in self.coeffs], ring)
 
     # -- analytic operations ------------------------------------------
 
@@ -542,24 +717,27 @@ class Series:
         b = exp(a) solves b' = a'b with b_0 = 1, which gives the recurrence
         b_k = (1/k) * sum_{i=1..k} (i a_i) b_{k-i}.  It holds in every
         commutative Q-algebra and costs O(n^2) coefficient products (pairs
-        with a zero factor are skipped).
+        with a zero factor are skipped).  Over integer-form q-series each
+        b_k is one packed sum of products (:class:`_PackedRows`).
         """
         zero = self.ring.zero
         if not self.coeffs[0] == zero:
             raise NonzeroConstantTermError("exp needs a vanishing constant term")
-        scaled = [(i, i * c) for i, c in enumerate(self.coeffs) if i and not c == zero]
-        out = [self.ring.one]
+        sums = _row_sums(self.ring, self.coeffs)
+        # (i, row of i * a_i), and the row of each b_m so far
+        scaled = [(i, sums.add(i * c)) for i, c in enumerate(self.coeffs) if i and not c == zero]
+        rows = [sums.add(self.ring.one)]
         nonzero = [True]
         for k in range(1, self.order + 1):
-            acc = zero
-            for i, ia in scaled:
+            pairs = []
+            for i, x in scaled:
                 if i > k:
                     break
                 if nonzero[k - i]:
-                    acc = acc + ia * out[k - i]
-            out.append(acc / k)
-            nonzero.append(not acc == zero)
-        return Series(out, self.ring)
+                    pairs.append((x, rows[k - i]))
+            rows.append(sums.add_products(pairs, k))
+            nonzero.append(not sums.rows[rows[-1]] == zero)
+        return Series([sums.rows[x] for x in rows], self.ring)
 
     def compose(self, inner: "Series") -> "Series":
         """Substitute ``inner`` (zero constant term) into this series.
@@ -581,14 +759,22 @@ class Series:
         powers = [Series.constant(inner.ring.one, order, inner.ring), inner][: order + 1]
         while len(powers) <= order:
             powers.append(powers[-1] * inner)
-        out = []
-        for j in range(order + 1):
-            acc = self.ring.zero
-            for c, power in zip(self.coeffs, powers[: j + 1]):
-                if not power[j] == zero:
-                    acc = acc + c * power[j]
-            out.append(acc)
-        return Series(out, self.ring)
+        return self._combinations(
+            [[(i, p[j]) for i, p in enumerate(powers[: j + 1]) if not p[j] == zero]
+             for j in range(order + 1)],
+            scalars=inner.ring is RATIONALS)
+
+    def _combinations(self, weights: list, scalars: bool = True) -> "Series":
+        """The series whose coefficient j is sum self[i] * s over (i, s) in ``weights[j]``.
+
+        With ``scalars`` every s is an int or `Fraction`, and over
+        integer-form q-series each coefficient is one packed sum.
+        """
+        coeffs = self.coeffs
+        sums = _row_sums(self.ring, coeffs) if scalars else _RingRows(self.ring)
+        rows = [sums.add(c) for c in coeffs]
+        return Series(sums.scalar_sums([[(s, rows[i]) for i, s in terms] for terms in weights]),
+                      self.ring)
 
     # -- display -------------------------------------------------------
 

@@ -130,6 +130,13 @@ class TestMainIdentities:
     def test_verify_c_bigger_window(self):
         assert verify_main_c(200, 40).status == "verified"
 
+    def test_verify_a_biggest_window(self):
+        # the largest windows pinned here
+        assert verify_main_a(400, 60).status == "verified"
+
+    def test_verify_c_biggest_window(self):
+        assert verify_main_c(400, 60).status == "verified"
+
     def test_window_validation(self):
         with pytest.raises(ValueError):
             verify_main_a(10, 7)  # odd x-order
@@ -171,6 +178,94 @@ class TestMainIdentities:
             assert rhs[2 * r] == expected
         for odd_exp in range(1, x_order + 1, 2):
             assert rhs[odd_exp] == inner.zero
+
+
+def with_bernoulli(monkeypatch, k, factor):
+    """Scale bernoulli(k) by ``factor`` for every caller, the Eisenstein constants included."""
+    true_bernoulli = qseries.bernoulli
+    monkeypatch.setattr(qseries, "bernoulli",
+                        lambda j: true_bernoulli(j) * factor if j == k else true_bernoulli(j))
+
+
+def mismatch(identity, q_order, x_order, coords, lhs, rhs):
+    return {"identity": identity, "params": {"q_order": q_order, "x_order": x_order},
+            "status": "mismatch", "mismatch": {"coords": coords, "lhs": lhs, "rhs": rhs}}
+
+
+class TestTwoFactors:
+    """verify_main_a checks the constant factor and the q-part as two exact identities.
+
+    The expected reports are those of the single-identity check this one
+    replaced, byte for byte.
+    """
+
+    def test_constant_factor_is_one_to_y60(self):
+        # (2/X) asin(X/2) exp(sum (-1)^(j-1)/j G_2j(0) S^2j) = 1, built in Y
+        # from arcsin_series, and the library's form of it in U = S^2
+        y = 60
+        u = (arcsin_series(2 * y + 1).dilate(F(1, 2)) * 2).odd_part()
+        phi = Series([0] + [-bernoulli(2 * j) / (2 * math.factorial(2 * j)) * F(1 if j % 2 else -1, j)
+                            for j in range(1, y + 1)])
+        assert u * phi.compose((u * u).shift(1)).exp() == Series.constant(1, y)
+        assert phi.exp() == identities._half_sinc(y)
+        assert identities._even_arcsin_factor(y) == u
+
+    @pytest.mark.parametrize("verify, identity, lhs, rhs", [
+        (verify_main_a, "main-a", "10", "9"), (verify_main_c, "main-c", "3", "2")])
+    def test_doctored_chain(self, monkeypatch, verify, identity, lhs, rhs):
+        monkeypatch.setattr(identities, "_macmahon_chain",
+                            doctored_chain(identities._macmahon_chain))
+        for q, x in ((12, 8), (20, 10)):
+            assert verify(q, x).to_dict() == mismatch(identity, q, x, {"x_exp": 4, "q_exp": 5},
+                                                      lhs, rhs)
+
+    def test_non_constant_eisenstein_coefficient(self, monkeypatch):
+        # G_4 + q^3/7 enters only the q-part
+        eis = identities.eisenstein
+        monkeypatch.setattr(identities, "eisenstein", lambda k, q: eis(k, q) + Series(
+            [0, 0, 0, F(1, 7)] + [0] * (q - 3)) if k == 4 else eis(k, q))
+        assert verify_main_a(12, 8).to_dict() == mismatch(
+            "main-a", 12, 8, {"x_exp": 4, "q_exp": 3}, "1", "13/14")
+        assert verify_main_c(12, 8).ok
+
+    def test_bernoulli_enters_the_constant_factor_only(self, monkeypatch):
+        # the full identity first fails at q^0, where it reads A_r(0) = 0
+        # against the constant factor's Y^r coefficient
+        with_bernoulli(monkeypatch, 4, 2)
+        assert verify_main_a(12, 8).to_dict() == mismatch(
+            "main-a", 12, 8, {"x_exp": 4, "q_exp": 0}, "0", "-1/2880")
+        y = 4
+        u = identities._even_arcsin_factor(y)
+        consts = {j: identities.eisenstein(2 * j, 3)[0] for j in range(1, y + 1)}
+        phi = Series([0] + [consts[j] * F(1 if j % 2 else -1, j) for j in range(1, y + 1)])
+        factor = u * phi.compose((u * u).shift(1)).exp()
+        assert [factor[r] for r in range(y + 1)] == [1, 0, F(-1, 2880), factor[3], factor[4]]
+        assert verify_main_c(12, 8).ok  # G^o_k has no constant term
+
+    def test_odd_constant_term(self, monkeypatch):
+        # for C the constant factor is 1 exactly when every G^o_2j(0) is 0
+        odd = identities.eisenstein_odd
+        monkeypatch.setattr(identities, "eisenstein_odd",
+                            lambda k, q: odd(k, q) + F(1, 7) if k == 4 else odd(k, q))
+        assert verify_main_c(12, 8).to_dict() == mismatch(
+            "main-c", 12, 8, {"x_exp": 4, "q_exp": 0}, "0", "-1/14")
+
+    @pytest.mark.parametrize("k, coords, lhs, rhs", [
+        (4, {"x_exp": 4, "q_exp": 0}, "0", "-1/2880"),  # the constant factor fails first
+        (6, {"x_exp": 4, "q_exp": 5}, "10", "9"),       # the q-part fails first
+    ])
+    def test_both_factors_fail(self, monkeypatch, k, coords, lhs, rhs):
+        with_bernoulli(monkeypatch, k, 2)
+        monkeypatch.setattr(identities, "_macmahon_chain",
+                            doctored_chain(identities._macmahon_chain))
+        assert verify_main_a(20, 10).to_dict() == mismatch("main-a", 20, 10, coords, lhs, rhs)
+
+    def test_no_prefactor_on_the_verify_path(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("_scale_by_rationals called")
+
+        monkeypatch.setattr(identities, "_scale_by_rationals", refused)
+        assert verify_main_a(20, 10).ok and verify_main_c(20, 10).ok
 
 
 class TestOneChainPerWindow:

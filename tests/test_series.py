@@ -644,6 +644,28 @@ class TestExpRecurrence:
         assert all(f.exp()[k] == 0 for k in range(1, 10, 2))
 
 
+class TestPackedSums:
+    """exp and compose over q-series whose sums fill their slots, against other routes.
+
+    Every numerator is as large as its bit length allows and all have one
+    sign, so the packed sums reach the bound their slot width is chosen
+    from: a slot one bit too narrow shows as a wrong coefficient.
+    """
+
+    @pytest.mark.parametrize("bits", list(range(1, 70, 4)) + [90, 130])
+    def test_full_slots(self, bits):
+        for q_order in (0, 11):
+            qring = series_ring(RATIONALS, q_order)
+            for sign in (1, -1):
+                row = Series([sign * (2**bits - 1)] * (q_order + 1))
+                f = Series([qring.zero] + [row] * 8, qring)
+                assert f.exp() == taylor_exp(f)
+                g = f.exp() - 1  # rows that came out of packed sums
+                assert g.exp() == taylor_exp(g)
+                inner = Series([0] + [1] * 8)
+                assert f.compose(inner) == horner_compose(f, lift_rationals(inner, qring))
+
+
 class TestComposeRationalInner:
     """Composition with a rational inner series acting by scalars."""
 

@@ -10,7 +10,7 @@ from math import gcd  # noqa: E402
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from macmahon.identities import GeneratorPoly  # noqa: E402
+from macmahon.identities import GeneratorPoly, _scale_by_rationals  # noqa: E402
 from macmahon.quasishuffle import QuasiShuffleAlgebra  # noqa: E402
 from macmahon.series import LAMBDAS, RATIONALS, LambdaPoly, Series, series_ring  # noqa: E402
 
@@ -176,6 +176,43 @@ def test_depth_two_compose_and_exp_match_fractions(q_order, x_order, data):
         [tuple(r) for r in taylor_exp_local(local, q_order)]
     for c in composed.coeffs + result.coeffs:
         assert_canonical(c)
+
+
+def lift(f):
+    """A series over the rationals as one over L-polynomials of degree 0, which has no integer form."""
+    return f.map_coefficients(lambda c: LambdaPoly({0: c}), LAMBDAS)
+
+
+def unlift(f):
+    return [c.constant for c in f.coeffs]
+
+
+@PROPERTY
+@given(st.integers(0, 6), st.integers(1, 6), st.data())
+def test_integer_sums_match_the_generic_loops(q_order, x_order, data):
+    # exp, compose and the scalar sums over rational q-series (one packed sum
+    # per coefficient) and over rationals (one integer sum per coefficient)
+    # against the same recurrences run term by term in a ring without an
+    # integer form
+    row = st.lists(entries, min_size=q_order + 1, max_size=q_order + 1)
+    scalar_row = st.lists(entries, min_size=x_order, max_size=x_order)
+    rows = [[0] * (q_order + 1)] + [data.draw(row) for _ in range(x_order)]
+    inner = Series([0] + data.draw(scalar_row))
+    u = Series([1] + data.draw(scalar_row))
+    fast = Series([Series(r) for r in rows], series_ring(RATIONALS, q_order))
+    slow = Series([lift(Series(r)) for r in rows], series_ring(LAMBDAS, q_order))
+    pairs = [(fast.exp(), slow.exp()), (fast.compose(inner), slow.compose(inner)),
+             (fast.compose(inner).exp(), slow.compose(inner).exp()),
+             (_scale_by_rationals(fast, u), _scale_by_rationals(slow, u))]
+    for a, b in pairs:
+        assert [unlift(c) for c in b.coeffs] == [list(c.coeffs) for c in a.coeffs]
+        for c in a.coeffs:
+            assert_canonical(c)
+    # the same at depth 1: rational coefficients against degree-0 L-polynomials
+    first = Series([0] + [F(r[0]) for r in rows[1:]])
+    for a, b in ((first.exp(), lift(first).exp()), (first.compose(inner), lift(first).compose(inner))):
+        assert unlift(b) == list(a.coeffs)
+        assert_canonical(a)
 
 
 # -- series over L-polynomials ------------------------------------------------

@@ -28,3 +28,23 @@ def test_version_lives_in_the_package_only():
     assert 'dynamic = ["version"]' in project.splitlines()
     assert 'version = {attr = "macmahon.__version__"}' in pyproject.read_text()
     assert macmahon.__version__
+
+
+def test_no_tuple_of_a_generator_and_no_splatted_generator():
+    # tuple(<genexpr>) grows its result by guesses and resizes it, and the
+    # freed tuples fill CPython's per-size free lists, which only a full
+    # collection empties; a list comprehension has no such cost
+    def found(tree):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if (isinstance(node.func, ast.Name) and node.func.id == "tuple"
+                    and any(isinstance(a, ast.GeneratorExp) for a in node.args)):
+                yield node.lineno
+            if any(isinstance(a, ast.Starred) and isinstance(a.value, ast.GeneratorExp)
+                   for a in node.args):
+                yield node.lineno
+
+    hits = [f"{path.name}:{line}" for path in SOURCES
+            for line in found(ast.parse(path.read_text(), str(path)))]
+    assert hits == []
