@@ -171,7 +171,7 @@ def format_generator_poly(poly: GeneratorPoly, names: Sequence[str],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Mismatch:
     coords: dict
     lhs: str
@@ -179,7 +179,7 @@ class Mismatch:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerdictReport:
     identity: str
     params: dict

@@ -39,6 +39,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .qseries import _eulerian as _eulerian_ints
+
 
 class DivergenceError(ValueError):
     """The requested lattice sum does not converge (some exponent < 2)."""
@@ -251,12 +253,8 @@ def monotangent(k: int, tau: complex, cutoff: int) -> TangentSum:
 
 @functools.lru_cache(maxsize=None)
 def _eulerian(n: int) -> tuple:
-    """A(n, 0..n-1) of the Eulerian polynomial A_n: exact by the recurrence, then floats."""
-    row = [1]
-    for m in range(2, n + 1):
-        row = [(j + 1) * (row[j] if j < m - 1 else 0) + (m - j) * (row[j - 1] if j else 0)
-               for j in range(m)]
-    return tuple([float(c) for c in row])
+    """A(n, 0..n-1) of the Eulerian polynomial A_n (:func:`qseries._eulerian`) as floats."""
+    return tuple([float(c) for c in _eulerian_ints(n)])
 
 
 def _power_sum(n: int, x):

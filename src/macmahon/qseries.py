@@ -16,9 +16,28 @@ The series:
   divisors, i.e. sum over m_1 > ... > m_r > 0 (all odd, for C) of
   prod_i q^(m_i)/(1 - q^(m_i))^2
 
-Every nested sum comes from one dynamic programme over the part size m
-(:func:`_divisor_chain_rows`), which builds all tails g(k_j, ..., k_r) in
-one pass.  Since q^m/(1-q^m)^2 = sum_{n>0} n q^(mn), ``macmahon_a(r)`` is
+Every nested sum comes from one product over the part sizes m
+(:func:`_divisor_chain_rows`), which builds all tails g(k_j, ..., k_r) at
+once.  With x = q^m, size m multiplies by 1 + Y f_e(x), where Y counts the
+parts taken, e = k_i - 1 is the exponent of the part it fills, and
+
+    f_e(x) = sum_{n>0} n^e x^n = x A_e(x) / (1 - x)^(e+1)
+
+with A_e the Eulerian polynomial; the Y^j coefficient is the tail of length
+j.  All tails live in one int, q-slot by q-slot, in fixed-width slots, and
+each factor is a few shifts, adds and masks of that int: A_e(x), then
+the division by (1 - x)^(e+1) as the product of (1 + x^s)^(e+1) over
+s = 1, 2, 4, ..., each cut at q^order.
+Every value met is a nonnegative partial sum of a final coefficient.  A
+final coefficient at q^t weighs each partition of t, part m_i taken n_i
+times, by prod n_i^(e_i) <= prod n_i^E, E the largest exponent, so it is at
+most c_E(t) = [q^t] prod_m (1 + sum_n n^E q^(mn)), which is below
+exp(pi sqrt(2kt/3)) for k = (E+1) E!; for a row of j parts, AM-GM gives
+p(t) (t/j)^(jE).  Each slot holds the smaller of the two bounds at
+t = order (:func:`_chain_slot_bytes`), so no carry crosses a slot and the
+int reads off as the rows.
+
+Since q^m/(1-q^m)^2 = sum_{n>0} n q^(mn), ``macmahon_a(r)`` is
 ``multiple_divisor_series((2,)*r)`` and ``macmahon_c(r)`` its odd twin; for
 that index the tails are A_1, ..., A_r (C_1, ..., C_r), and the whole chain
 is checked against a divisor sieve and MacMahon's recurrence in the form of
@@ -37,11 +56,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, lcm
+from functools import lru_cache
+from math import comb, factorial, isqrt, lcm
 from typing import Sequence
 
 from .oracles import partition_oracle  # noqa: F401  (re-exported)
-from .series import Series, _kronecker_ints
+from .series import Series, _kronecker_ints, _unpack, _width
 
 
 class RouteMismatchError(ArithmeticError):
@@ -167,33 +187,121 @@ def _as_parts(index) -> tuple:
     return Index(index).parts
 
 
+@lru_cache(maxsize=None)
+def _eulerian(e: int) -> tuple:
+    """A(e, 0..e-1), the coefficients of the Eulerian polynomial A_e (A_0 = 1).
+
+    sum_{n>0} n^e x^n = x A_e(x) / (1 - x)^(e+1).
+    """
+    row = [1]
+    for m in range(2, e + 1):
+        row = [(j + 1) * (row[j] if j < m - 1 else 0) + (m - j) * (row[j - 1] if j else 0)
+               for j in range(m)]
+    return tuple(row)
+
+
+def _packed_product(groups: list, order: int, step: int, q_bits: int, y_bits: int) -> int:
+    """The packed product over the part sizes m = 1, 1 + step, ... <= ``order``.
+
+    q-slot t of the int, ``q_bits`` wide, holds the q^t coefficients, and
+    the product starts at 1.  Size m adds f_e(q^m) times the slots that each
+    (e, mask) of ``groups`` picks, moved ``y_bits`` up, with f_e as in
+    :func:`_divisor_chain_rows`; ``groups`` runs through the exponents in
+    decreasing order.  Only the picked slots at q^0..q^(order-m) matter.
+    They are multiplied by the terms q^(im) of A_e(q^m) and divided by
+    (1 - q^m)^(e+1), Horner-wise: the terms of exponent e are divided
+    e - e' times before those of the next exponent e' join them.  Each
+    division by (1 - q^m)^p multiplies by (1 + q^s)^p for s = m, 2m, 4m,
+    ... <= order - m, since (1 + x)(1 + x^2)...(1 + x^(2^(K-1))) is
+    1 + x + ... + x^(2^K - 1).  After every shift the q-slots past
+    q^(order-m) are cut off, and the sum moves up m q-slots.  Every value
+    met is a partial sum of a final coefficient, so slots that hold the
+    final ones never carry into each other.
+    """
+    lowers = [e for e, _ in groups[1:]] + [-1]
+    plan = [(mask, _eulerian(e)[1:], [comb(e - lower, i) for i in range(1, e - lower + 1)])
+            for (e, mask), lower in zip(groups, lowers)]
+    state = 1
+    for m in range(1, order + 1, step):
+        span = order + 1 - m  # q-slots that move up to q^m..q^order
+        low = (1 << (span * q_bits)) - 1
+        window = state & low
+        term = 0
+        for mask, eulerian, binomials in plan:
+            src = window & mask
+            term += src
+            for c, shift in zip(eulerian, range(m, span, m)):
+                term += c * ((src << (shift * q_bits)) & low)
+            s = m
+            while s < span:  # times (1 + q^s)^p, p = len(binomials)
+                base = term
+                for c, shift in zip(binomials, range(s, span, s)):
+                    term += c * ((base << (shift * q_bits)) & low)
+                s <<= 1
+        state += term << (m * q_bits + y_bits)
+    return state
+
+
 def _divisor_chain_rows(parts: tuple, order: int, odd: bool) -> list:
     """Integer numerators of every tail of the nested sum, in one pass.
 
     ``rows[j]`` is the series of g(k_{r-j+1}, ..., k_r) times
     prod (k_i - 1)!: the sum over m_{r-j+1} > ... > m_r > 0 (odd if asked)
     and n_i > 0 of prod n_i^(k_i - 1) q^(sum m_i n_i); ``rows[0]`` is 1.
-    Part sizes are taken in increasing order.  Size m may fill slot j (the
-    j-th smallest size of a chain, exponent k_{r-j+1} - 1) by multiplying
-    ``rows[j-1]`` with sum_n n^(k_{r-j+1} - 1) q^(mn); going through the
-    slots downwards uses each size at most once per chain.
+    The rows are the Y^j coefficients of one product over the part sizes m,
+    taken in increasing order: size m adds Y * f_e(q^m) * row j to row
+    j + 1, where e = k_{r-j} - 1 and
+
+        f_e(x) = sum_{n>0} n^e x^n = x A_e(x) / (1 - x)^(e+1)
+
+    with A_e the Eulerian polynomial (:func:`_eulerian`).  All rows live in
+    one int (:func:`_packed_product`), q-major: q-slot t holds the q^t
+    coefficients of rows 0..d, the rows that reach q^order, in slots of
+    :func:`_chain_slot_bytes` bytes, and one row slot up is one
+    more factor Y.  The masks pick the rows of each exponent; the top row
+    is in none of them, so nothing moves past it.
     """
     r = len(parts)
-    exps = (None,) + tuple([k - 1 for k in reversed(parts)])
-    rows = [[1] + [0] * order] + [[0] * (order + 1) for _ in range(r)]
-    step = 2 if odd else 1
-    for i, m in enumerate(range(1, order + 1, step)):
-        # the first i sizes fill at most i slots, so slot i + 1 is the highest reachable
-        for j in range(min(r, i + 1), 0, -1):
-            prev, cur, e = rows[j - 1], rows[j], exps[j]
-            # prev starts at m = 1, 2, ..., j-1 (or 1, 3, ..., 2j-3), all n = 1
-            lo = (j - 1) ** 2 if odd else (j - 1) * j // 2
-            tail = prev[lo:]
-            for n in range(1, (order - lo) // m + 1):
-                s = lo + m * n
-                w = n**e
-                cur[s:] = [c + w * p for c, p in zip(cur[s:], tail)]
-    return rows
+    exps = [k - 1 for k in reversed(parts)]  # exps[j] takes row j to row j + 1
+    # row j starts at q^(1+2+...+j) (q^(1+3+...+(2j-1)) if odd): rows past d are 0
+    d = r
+    while (d * d if odd else d * (d + 1) // 2) > order:
+        d -= 1
+    width = _chain_slot_bytes(max(exps[:d], default=0), order, d)
+    groups = []
+    for e in sorted(set(exps[:d]), reverse=True):
+        slots = b"".join([b"\xff" * width if exps[j] == e else bytes(width) for j in range(d)])
+        groups.append((e, int.from_bytes((slots + bytes(width)) * (order + 1), "little")))
+    state = _packed_product(groups, order, 2 if odd else 1, 8 * width * (d + 1), 8 * width)
+    flat = _unpack(state, width, (order + 1) * (d + 1))
+    return [list(flat[j::d + 1]) for j in range(d + 1)] + [[0] * (order + 1)
+                                                          for _ in range(r - d)]
+
+
+def _chain_slot_bytes(top_exp: int, order: int, depth: int) -> int:
+    """Bytes of a slot for every value of the rows 0..``depth`` of :func:`_divisor_chain_rows`.
+
+    With E = ``top_exp``, a value at q^t is at most
+
+        c_E(t) = [q^t] prod_{m>0} (1 + sum_{n>0} n^E q^(mn)),
+
+    whose terms are the partitions of t, part m_i taken n_i times, of weight
+    prod n_i^E; a row j value takes only the partitions with j distinct
+    parts.  Two bounds follow, and the slot holds the smaller:
+
+    * n^E <= E! C(n+E-1, E), so 1 + sum_n n^E x^n <= (1-x)^(-k) with
+      k = (E+1) E!, and c_E(t) <= p_k(t) <= exp(pi sqrt(2kt/3)), which is
+      below 2^(isqrt(14kt) + 1);
+    * by AM-GM a weight with j distinct parts is at most (t/j)^(jE), so a
+      row j value is at most p(t) (t/j)^(jE), and p(t) < 2^(isqrt(14t) + 1).
+
+    Both grow with t, so t = ``order`` bounds every slot.  The size is the
+    one :func:`~macmahon.series._width` gives a signed slot.
+    """
+    bits = isqrt(14 * (top_exp + 1) * factorial(top_exp) * order) + 1
+    weight = max([(order ** (j * top_exp) // j ** (j * top_exp)).bit_length()
+                  for j in range(1, depth + 1)], default=0)
+    return _width(min(bits, isqrt(14 * order) + 1 + weight))
 
 
 def _check_macmahon_chain(rows: list, odd: bool) -> None:

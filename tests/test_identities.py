@@ -1,5 +1,6 @@
 """Tests for the identity verifiers, the extractor, and the exact solver."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -629,3 +630,16 @@ class TestReports:
         assert d["identity"] == "main-a"
         assert d["status"] == "verified"
         assert "mismatch" not in d
+
+    def test_reports_hold_no_instance_dict(self):
+        # the benchmark keeps every report until its run ends, so each one
+        # is kept small: slots, no per-instance __dict__
+        mismatch = Mismatch({"x_exp": 2, "q_exp": 0}, "1", "2", "note")
+        report = identities.VerdictReport("main-a", {"q_order": 1}, "mismatch", mismatch)
+        for obj in (mismatch, report, verify_main_a(6, 4)):
+            assert not hasattr(obj, "__dict__")
+            assert type(obj).__slots__
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, dataclasses.fields(obj)[0].name, None)  # and frozen
+        assert report.to_dict()["mismatch"] == {"coords": {"x_exp": 2, "q_exp": 0}, "lhs": "1",
+                                                "rhs": "2", "note": "note"}

@@ -1,10 +1,11 @@
 """Tests for the q-series constructors and the enumeration oracles."""
 
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, isqrt
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,8 @@ from macmahon.qseries import (
     partition_oracle,
 )
 from macmahon.series import Series
+
+from chain_reference import dominating_coefficients, list_chain_rows
 
 
 def sigma_brute(power, n):
@@ -214,6 +217,140 @@ class TestChainCheck:
         assert proc.returncode == 0, proc.stderr
         route = "divisor sieve at k=1" if row == 1 else "Andrews–Rose recurrence at k="
         assert proc.stdout.startswith(f"caught product-DP vs {route}")
+
+
+class TestPackedChain:
+    """The packed product against the list DP it replaced (tests/chain_reference.py)."""
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_every_window_shape(self, odd):
+        # the benchmark's windows build (2,)*r at q_order 12..37, r = x_order/2 = 2..6
+        for order in range(12, 38):
+            for r in range(2, 7):
+                assert qseries._divisor_chain_rows((2,) * r, order, odd) == \
+                    list_chain_rows((2,) * r, order, odd), (order, r)
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("order", [200, 400])
+    def test_deep_chains(self, order, odd):
+        # rows past the last one that reaches q^order are all zero
+        assert qseries._divisor_chain_rows((2,) * 30, order, odd) == \
+            list_chain_rows((2,) * 30, order, odd)
+
+    @pytest.mark.parametrize("parts, order, odd", [
+        ((3, 2, 4), 60, False), ((3, 2, 4), 60, True), ((5, 1, 3, 2), 40, False),
+        ((5, 1, 3, 2), 40, True), ((6,), 100, True), ((6,), 100, False),
+        ((1,) * 9, 50, False), ((7, 1, 1), 45, True), ((2, 6, 1, 3, 2), 70, False),
+        ((12,), 100, False), ((8, 3), 150, True),
+    ])
+    def test_mixed_indices(self, parts, order, odd):
+        assert qseries._divisor_chain_rows(parts, order, odd) == \
+            list_chain_rows(parts, order, odd)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_tiny_orders(self, order):
+        for parts in [(1,), (2,), (2, 2), (4, 1, 3), (2,) * 5]:
+            for odd in (False, True):
+                assert qseries._divisor_chain_rows(parts, order, odd) == \
+                    list_chain_rows(parts, order, odd)
+
+    @pytest.mark.parametrize("top_exp", [0, 1, 2, 3, 5])
+    def test_closed_form_bounds_hold(self, top_exp):
+        # the two bounds of _chain_slot_bytes against c_E(t) and the rows:
+        # c_E(t) <= exp(pi sqrt(2kt/3)) < 2^(isqrt(14kt) + 1), k = (E+1) E!,
+        # and a row j value <= p(t) (t/j)^(jE) with p(t) < 2^(isqrt(14t) + 1)
+        order, k = 60, (top_exp + 1) * factorial(top_exp)
+        c = dominating_coefficients(top_exp, order)
+        p = dominating_coefficients(0, order)
+        rows = list_chain_rows((top_exp + 1,) * 6, order, False)
+        for t in range(1, order + 1):
+            assert math.log(c[t]) <= math.pi * math.sqrt(2 * k * t / 3)
+            assert math.pi * math.sqrt(2 * k * t / 3) < (isqrt(14 * k * t) + 1) * math.log(2)
+            assert p[t].bit_length() <= isqrt(14 * t) + 1
+            for j in range(1, 7):
+                assert rows[j][t] <= c[t]
+                assert rows[j][t] * j ** (j * top_exp) <= p[t] * t ** (j * top_exp)
+
+    @pytest.mark.parametrize("top_exp, order, depth", [
+        (0, 0, 0), (0, 40, 3), (1, 12, 4), (1, 34, 6), (1, 35, 6), (1, 37, 6), (1, 400, 27),
+        (2, 40, 2), (2, 60, 3), (3, 60, 4), (4, 30, 6), (5, 100, 1), (5, 400, 1), (6, 12, 1),
+    ])
+    def test_slot_is_the_least_that_holds_the_bound(self, top_exp, order, depth):
+        # the smaller of 2^(isqrt(14kt) + 1) and 2^(isqrt(14t) + 1) * (t/j)^(jE)
+        # (j <= depth, read up to the next power of two), with a sign, at
+        # t = order; the slot sizes are 1, 2, 4, 8, 9, 10, ... bytes
+        k = (top_exp + 1) * factorial(top_exp)
+        weight = max([math.floor(F(order, j) ** (j * top_exp)).bit_length()
+                      for j in range(1, depth + 1)], default=0)
+        bits = min(isqrt(14 * k * order), isqrt(14 * order) + weight) + 1
+        width = qseries._chain_slot_bytes(top_exp, order, depth)
+        smaller = {1: 0, 2: 1, 4: 2, 8: 4}.get(width, width - 1)
+        assert 8 * smaller < bits + 1 <= 8 * width
+
+    @pytest.mark.parametrize("parts, order, odd", [
+        ((2,) * 30, 400, False), ((2,) * 30, 400, True), ((1,) * 20, 200, False),
+        ((3,), 40, False), ((3, 3), 40, False), ((5, 1, 3, 2), 40, False),
+        ((3, 2, 4), 60, False), ((4,) * 6, 30, False), ((7,), 12, False)])
+    def test_slot_holds_every_row(self, parts, order, odd):
+        rows = list_chain_rows(parts, order, odd)
+        d = max(j for j, row in enumerate(rows) if any(row))
+        width = qseries._chain_slot_bytes(max(parts) - 1, order, d)
+        assert max(map(max, rows)).bit_length() + 1 <= 8 * width
+
+    @pytest.mark.parametrize("top_exp", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 7, 40])
+    def test_product_keeps_no_slot_past_the_order(self, top_exp, order):
+        # with every slot picked and no row shift, the product over all
+        # sizes is c_E(0..order); the masks keep the int inside q^order
+        bits = 128
+        state = qseries._packed_product([(top_exp, -1)], order, 1, bits, 0)
+        assert state >> ((order + 1) * bits) == 0
+        assert [(state >> (t * bits)) & ((1 << bits) - 1) for t in range(order + 1)] == \
+            dominating_coefficients(top_exp, order)
+
+    def test_eulerian_numbers(self):
+        # sum_{n>0} n^e x^n (1 - x)^(e+1) = x A_e(x), to x^12
+        for e in range(8):
+            a = qseries._eulerian(e)
+            assert sum(a) == factorial(e)
+            lhs = [n**e if n else 0 for n in range(13)]
+            for _ in range(e + 1):
+                lhs = [c - (lhs[i - 1] if i else 0) for i, c in enumerate(lhs)]
+            assert lhs == [0] + list(a) + [0] * (12 - len(a))
+
+
+def _corrupt(monkeypatch, k, n, value):
+    real = qseries._divisor_chain_rows
+
+    def corrupted(*args):
+        rows = real(*args)
+        rows[k][n] = value(rows[k][n])
+        return rows
+
+    monkeypatch.setattr(qseries, "_divisor_chain_rows", corrupted)
+
+
+class TestChainCheckMessages:
+    """A corrupted slot of a packed-product row is named by its first bad (k, n)."""
+
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("n", ["middle", "order"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("value", [lambda c: c + 1, lambda c: c - 1, lambda c: -1 - c])
+    def test_first_bad_slot_is_named(self, monkeypatch, odd, n, k, value):
+        order = 37
+        n = order if n == "order" else 19
+        _corrupt(monkeypatch, k, n, value)
+        with pytest.raises(RouteMismatchError) as exc:
+            multiple_divisor_series((2,) * 6, order, odd)
+        route = "divisor sieve" if k == 1 else "Andrews–Rose recurrence"
+        assert str(exc.value) == f"product-DP vs {route} at k={k}, n={n}"
+
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_last_row_is_checked(self, monkeypatch, odd):
+        _corrupt(monkeypatch, 6, 37, lambda c: c + 1)
+        with pytest.raises(RouteMismatchError, match="k=6, n=37$"):
+            multiple_divisor_series((2,) * 6, 37, odd)
 
 
 class TestMacMahon:
