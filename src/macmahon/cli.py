@@ -300,8 +300,8 @@ def _cmd_numeric(args) -> int:
             tol = args.tol
             if tol is None:
                 tol = 1e-8 if depth == 1 else 1e-6 if depth == 2 else 1e-5
-            mono = monotangent(2, tau, cutoff)
-            ratio = value.value / mono.value
+            # Psi_2 from the same lattice pass: the corrected value of k_1 alone
+            ratio = value.value / value.leading[0]
             target = _lemma_ratio_target(depth)
             rel = abs(ratio - target) / target
             payload.update({"ratio_to_monotangent": [ratio.real, ratio.imag],

@@ -299,9 +299,10 @@ def _verify_main(odd: bool, q_order: int, x_order: int) -> VerdictReport:
     # the prefactor, sin(S/2)/(S/2) for A (Euler's product for sin) and 1 for C
     target = Series.constant(1, y_order) if odd else _half_sinc(y_order)
     off = _log_series(consts, y_order, RATIONALS).exp() - target
-    rhs = _generating_rhs({j: g - consts[j] for j, g in gens.items()}, y_order, inner,
-                          prefactor=False)
-    lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd=odd), inner)
+    q_parts = {j: g - consts[j] for j, g in gens.items()}
+    rhs = _generating_rhs(q_parts, y_order, inner, prefactor=False)
+    # A_1 = G_2 - G_2(0) and C_1 = G^o_2: the chain check reads its sieve there
+    lhs = Series([inner.one] + _macmahon_chain(y_order, q_order, odd, q_parts[1]), inner)
     report = _first_mismatch(identity, params, lhs, rhs, "x_exp", 2)
     r = next((r for r in range(1, y_order + 1) if off[r]), None)
     if r is None or (not report.ok and report.mismatch.coords["x_exp"] < 2 * r):
@@ -571,12 +572,22 @@ def lemma_combinatorial_check(n_max: int) -> VerdictReport:
 
     Also verifies the same identity in its weight-graded form: the
     convolution sum_e zeta({2}^(e-1)) zeta({2}^(n-e)) equals
-    pi^(2n-2) * 2^(2n-1)/(2n)! as polynomials in L.
+    pi^(2n-2) * 2^(2n-1)/(2n)! as polynomials in L.  With zeta({2}^j) =
+    z_j L^j, both sides are L^(n-1) times a rational, so the form is checked
+    in integers: times (2n)! 4^(n-1), each term z_(e-1) z_(n-e) is an exact
+    integer quotient (for the true z_j = (-1)^j/(4^j (2j+1)!) it is
+    (-1)^(n-1) C(2n, 2e-1)), and their sum must be (-1)^(n-1) 2^(2n-1).  The
+    polynomials in L are built only to report a mismatch, or if some
+    zeta({2}^j) is not a multiple of L^j.
     """
     if n_max < 1:
         raise ValueError("need n_max >= 1")
     params = {"n_max": n_max}
     zetas = [zeta_two_power(j) for j in range(n_max)]
+    graded = None  # (numerator, denominator) of every z_j
+    if all(z.terms.keys() <= {j} for j, z in enumerate(zetas)):
+        coeffs = [z.terms.get(j, 0) for j, z in enumerate(zetas)]
+        graded = [(c.numerator, c.denominator) for c in coeffs]
     for n in range(1, n_max + 1):
         # the scalar form times (2n)!: sum_e C(2n, 2e-1) = 2^(2n-1)
         lhs = sum(comb(2 * n, 2 * e - 1) for e in range(1, n + 1))
@@ -585,6 +596,13 @@ def lemma_combinatorial_check(n_max: int) -> VerdictReport:
             return VerdictReport("lemma", params, "mismatch",
                                  Mismatch({"n": n}, str(Fraction(lhs, factorial(2 * n))),
                                           str(rhs)))
+        if graded is not None:
+            scale = factorial(2 * n) * 4 ** (n - 1)
+            quotients = [divmod(scale * a * b, p * q)
+                         for (a, p), (b, q) in zip(graded[:n], reversed(graded[:n]))]
+            if not any(r for _, r in quotients) and \
+                    sum(t for t, _ in quotients) == (-1) ** (n - 1) * 2 ** (2 * n - 1):
+                continue
         conv = LambdaPoly()
         for e in range(1, n + 1):
             conv = conv + zetas[e - 1] * zetas[n - e]

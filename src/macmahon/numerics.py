@@ -9,8 +9,12 @@ for tau in the upper half plane and all exponents >= 2, over the symmetric
 box |n_i| <= cutoff with Euler-Maclaurin corrections for the parts outside
 it.  For k = 2 the raw sum converges only like 1/cutoff, so the corrected
 value is the primary output; the raw sum, the correction, and bounds for
-the raw tail and the neglected remainder are reported alongside.  Depth
-times (2 * cutoff + 1) is capped at 10^8 lattice terms, seconds of work.
+the raw tail and the neglected remainder are reported alongside.  The
+pass builds the index level by level, so the corrected value of every
+leading sub-index k_1..k_i comes out of it too, bit for bit the value of
+its own call: ``numeric --check multitangent`` reads Psi_2 there and runs
+one lattice pass per check.  Depth times (2 * cutoff + 1) is capped at
+10^8 lattice terms, seconds of work.
 
 Every q-side sum is built on sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1),
 A_n the Eulerian polynomial (``_power_sum``, for scalars and arrays).
@@ -64,7 +68,8 @@ class TangentSum:
     ``value = partial + correction``; ``tail_bound`` bounds the part of the
     exact sum missing from ``partial``, and ``neglected_bound`` estimates
     what ``value`` still omits (Euler-Maclaurin remainders and, for depth
-    >= 2, dropped corner terms).
+    >= 2, dropped corner terms).  ``leading[i - 1]`` is the corrected value
+    of the sub-index k_1..k_i, from the same pass; the last is ``value``.
     """
 
     value: complex
@@ -72,6 +77,7 @@ class TangentSum:
     correction: complex
     tail_bound: float
     neglected_bound: float
+    leading: tuple = ()
 
 
 def _em_tail(k: int, tau: complex, a: int, sign: int) -> complex:
@@ -168,6 +174,9 @@ def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     chain is the box sum alone; the corrected one restores the two dominant
     boundary channels at each depth: the upper seed of the innermost level
     and, at every level, the lower tail weighted by the full lower-depth value.
+    ``corrected`` holds that value at every depth i, for k_1..k_i; level i
+    of the pass reads only the levels before it, so each equals the pass
+    over k_1..k_i alone.
     """
     import numpy as np
 
@@ -182,10 +191,11 @@ def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     # O(cutoff^-(k_i + k_(i-1) - 1)) and folded into neglected_bound
     upper = _em_tail(ks[0], tau, cutoff + 1, +1)
     raw, cor = _ordered_sums(levels, len(ks), range(cutoff, -cutoff - 1, -1), complex, (upper,))
-    psi = 1.0 + 0j
+    psi, corrected = 1.0 + 0j, []
     for k, total in zip(ks, cor):
         psi = total + _em_tail(k, tau, cutoff + 1, -1) * psi
-    return psi, raw[-1]
+        corrected.append(psi)
+    return tuple(corrected), raw[-1]
 
 
 def _tangent_bounds(ks, tau, cutoff):
@@ -241,9 +251,10 @@ def multitangent(ks, tau: complex, cutoff: int) -> TangentSum:
     if terms > _MAX_LATTICE_TERMS:
         raise ValueError(f"depth * (2 * cutoff + 1) = {terms} lattice terms, above the "
                          f"limit of {_MAX_LATTICE_TERMS}; lower the cutoff")
-    value, partial = _tangent_engine(ks, tau, cutoff)
+    leading, partial = _tangent_engine(ks, tau, cutoff)
+    value = leading[-1]
     tail_bound, neglected = _tangent_bounds(ks, tau, cutoff)
-    return TangentSum(value, partial, value - partial, tail_bound, neglected)
+    return TangentSum(value, partial, value - partial, tail_bound, neglected, leading)
 
 
 def monotangent(k: int, tau: complex, cutoff: int) -> TangentSum:

@@ -304,20 +304,24 @@ def _chain_slot_bytes(top_exp: int, order: int, depth: int) -> int:
     return _width(min(bits, isqrt(14 * order) + 1 + weight))
 
 
-def _check_macmahon_chain(rows: list, odd: bool) -> None:
+def _check_macmahon_chain(rows: list, odd: bool, sieve: Series | None = None) -> None:
     """Check rows A_1..A_r (or C_1..C_r) against a sieve and the recurrence.
 
-    ``rows[1]`` must be sigma_1 (for C: sigma_1(n) - sigma_1(n/2), the sum
-    of n/m over odd m | n).  Each later row must satisfy the Andrews–Rose
+    ``rows[1]`` must equal ``sieve``: the q-series of sigma_1 (for C:
+    sigma_1(n) - sigma_1(n/2), the sum of n/m over odd m | n) from a divisor
+    sieve, which is built here unless the caller has one, such as
+    G_2 - G_2(0) or G^o_2.  Each later row must satisfy the Andrews–Rose
     form of MacMahon's recurrence given in the module docstring, evaluated
     in integers with one big-int product per row.  The first disagreement
     raises :class:`RouteMismatchError`.
     """
     order = len(rows[0]) - 1
-    sig = divisor_power_sums(1, order)
-    sieve = [sig[n] - (sig[n // 2] if odd and n % 2 == 0 else 0) for n in range(order + 1)]
-    for n, (a, b) in enumerate(zip(rows[1], sieve)):
-        if a != b:
+    if sieve is None:
+        sig = divisor_power_sums(1, order)
+        sieve = Series._from_ints([sig[n] - (sig[n // 2] if odd and n % 2 == 0 else 0)
+                                   for n in range(order + 1)])
+    for n, (a, b) in enumerate(zip(rows[1], sieve._nums)):
+        if a * sieve._den != b:
             raise RouteMismatchError("product-DP", "divisor sieve", f"k=1, n={n}")
     one = rows[1]
     for k in range(2, len(rows)):
@@ -332,19 +336,23 @@ def _check_macmahon_chain(rows: list, odd: bool) -> None:
                 raise RouteMismatchError("product-DP", "Andrews–Rose recurrence", f"k={k}, n={n}")
 
 
-def _checked_rows(parts: tuple, order: int, odd: bool) -> list:
+def _checked_rows(parts: tuple, order: int, odd: bool, sieve: Series | None = None) -> list:
     """:func:`_divisor_chain_rows`, checked by :func:`_check_macmahon_chain` for (2, ..., 2)."""
     if order < 0:
         raise ValueError("order must be >= 0")
     rows = _divisor_chain_rows(parts, order, odd)
     if set(parts) == {2}:
-        _check_macmahon_chain(rows, odd)
+        _check_macmahon_chain(rows, odd, sieve)
     return rows
 
 
-def _macmahon_chain(r: int, order: int, odd: bool) -> list:
-    """[A_1, ..., A_r] (with ``odd``, [C_1, ..., C_r]) from one DP pass and one check."""
-    return [Series._from_ints(row) for row in _checked_rows((2,) * r, order, odd)[1:]]
+def _macmahon_chain(r: int, order: int, odd: bool, sieve: Series | None = None) -> list:
+    """[A_1, ..., A_r] (with ``odd``, [C_1, ..., C_r]) from one DP pass and one check.
+
+    ``sieve``, if given, is the caller's sigma_1 series of the same order
+    (:func:`_check_macmahon_chain`), so that no second sieve is built.
+    """
+    return [Series._from_ints(row) for row in _checked_rows((2,) * r, order, odd, sieve)[1:]]
 
 
 def multiple_divisor_series(index, order: int, odd: bool = False) -> Series:

@@ -65,6 +65,7 @@ from __future__ import annotations
 import operator
 import struct
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Callable
 
@@ -106,11 +107,18 @@ class CoeffRing:
 RATIONALS = CoeffRing(Fraction(0), Fraction(1))
 
 
+def _integral(x):
+    """An int or `Fraction` ``x`` as an int if its value is one, else as it is."""
+    return x.numerator if x.denominator == 1 else x
+
+
 class SparsePoly:
     """Sparse polynomial with rational coefficients, ``terms = {monomial: coefficient}``.
 
     Coefficients are ints or `Fraction`s and no zero one is stored, so
-    equality is structural.  A subclass says what a monomial is: ``UNIT``,
+    equality is structural.  A scalar product or quotient keeps every
+    coefficient whose value is an integer as an int, so the products and
+    sums that follow stay in ints.  A subclass says what a monomial is: ``UNIT``,
     the monomial of the constants; :meth:`_monomial`, which checks and
     normalises a monomial given to the public constructor; and
     :meth:`_mul_monomials`, the product of two monomials as
@@ -198,7 +206,8 @@ class SparsePoly:
                         out[m] = out.get(m, 0) + (c if k == 1 else c * k)
             return self._new({m: c for m, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
-            return self._new({m: c * other for m, c in self.terms.items()} if other else {})
+            return self._new({m: _integral(c * other) for m, c in self.terms.items()}
+                             if other else {})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -276,6 +285,11 @@ def _width(bits: int) -> int:
     return next((w for w in _SLOT_CODES if w >= width), width)
 
 
+# every _pack and _unpack needs a bias: a verify_main_a/c window of q_order
+# 12-37 makes about 46 calls over about 17 (width, size) pairs, and 128
+# entries hold the about 115 pairs of all such windows.  An entry holds
+# width * size bytes
+@lru_cache(maxsize=128)
 def _bias(width: int, size: int) -> int:
     """Half a slot in each of ``size`` slots of ``width`` bytes."""
     return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * size, "little")

@@ -200,6 +200,24 @@ class TestNumericCommand:
         payload = json.loads(out)["payload"]
         assert payload["rel_error"] <= 1e-6
 
+    @pytest.mark.parametrize("ks", ["2", "2,2", "2,2,2"])
+    def test_multitangent_ratio_takes_psi2_from_its_own_pass(self, capsys, monkeypatch, ks):
+        from macmahon import numerics
+
+        tau, cutoff = complex(-0.3, 0.9), 16384
+        depth = len(ks.split(","))
+        value = numerics.multitangent((2,) * depth, tau, cutoff).value
+        ratio = value / numerics.monotangent(2, tau, cutoff).value
+        passes = []
+        engine = numerics._tangent_engine
+        monkeypatch.setattr(numerics, "_tangent_engine",
+                            lambda *args: passes.append(args) or engine(*args))
+        code, out, _ = run(capsys, "numeric", "--check", "multitangent", "--ks", ks,
+                           "--tau=-0.3,0.9", "--cutoff", str(cutoff), "--format", "json")
+        assert code == 0
+        assert len(passes) == 1
+        assert json.loads(out)["payload"]["ratio_to_monotangent"] == [ratio.real, ratio.imag]
+
     def test_limit(self, capsys):
         code, out, _ = run(capsys, "numeric", "--check", "limit", "--r", "1",
                            "--grid-k", "4..9", "--format", "json")

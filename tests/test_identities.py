@@ -2,8 +2,12 @@
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +223,16 @@ class TestTwoFactors:
         for q, x in ((12, 8), (20, 10)):
             assert verify(q, x).to_dict() == mismatch(identity, q, x, {"x_exp": 4, "q_exp": 5},
                                                       lhs, rhs)
+
+    @pytest.mark.parametrize("verify", [verify_main_a, verify_main_c])
+    def test_sigma_one_is_sieved_once(self, monkeypatch, verify):
+        # G_2 (or G^o_2) and the chain check share one sigma_1 sieve
+        powers = []
+        sieve = qseries.divisor_power_sums
+        monkeypatch.setattr(qseries, "divisor_power_sums",
+                            lambda power, order: powers.append(power) or sieve(power, order))
+        assert verify(20, 8).ok
+        assert sorted(powers) == [1, 3, 5, 7]
 
     def test_non_constant_eisenstein_coefficient(self, monkeypatch):
         # G_4 + q^3/7 enters only the q-part
@@ -602,6 +616,63 @@ class TestLemma:
                    identities.LambdaPoly())
         assert report.mismatch.lhs == str(conv)
         assert report.mismatch.rhs == str(identities.LambdaPoly({3: F(-1, 64) * F(2**7, math.factorial(8))}))
+
+    def test_verified_in_integers(self, monkeypatch):
+        # a check that holds multiplies no polynomials in L
+        def no_product(*args):
+            raise AssertionError("an L-polynomial convolution on a verified run")
+
+        monkeypatch.setattr(identities.LambdaPoly, "__mul__", no_product)
+        assert lemma_combinatorial_check(60).ok
+
+    # 1 + 10^-30 moves no integer part: only the remainders show it
+    @pytest.mark.parametrize("factor", [F(3, 2), F(-1, 7), 0, 1 + F(1, 10**30)])
+    def test_non_integral_zeta_is_a_mismatch(self, monkeypatch, factor):
+        true_zeta = identities.zeta_two_power
+
+        def off_at_two(j):
+            return true_zeta(j) * factor if j == 2 else true_zeta(j)
+
+        monkeypatch.setattr(identities, "zeta_two_power", off_at_two)
+        report = lemma_combinatorial_check(10)
+        assert report.mismatch.coords == {"n": 3}
+        assert report.mismatch.note == "weight-graded form"
+        conv = sum((off_at_two(e - 1) * off_at_two(3 - e) for e in range(1, 4)),
+                   identities.LambdaPoly())
+        assert report.mismatch.lhs == str(conv)
+
+    def test_zeta_off_its_power_of_l_is_a_mismatch(self, monkeypatch):
+        # the integer form needs zeta({2}^j) = z_j L^j; any other one is
+        # checked as a polynomial in L
+        true_zeta = identities.zeta_two_power
+
+        def with_a_constant(j):
+            return true_zeta(j) + (F(1, 5) if j == 4 else 0)
+
+        monkeypatch.setattr(identities, "zeta_two_power", with_a_constant)
+        report = lemma_combinatorial_check(10)
+        assert report.mismatch.coords == {"n": 5}
+        # 1/5 meets zeta({2}^0) = 1 at e = 1 and at e = 5
+        assert report.mismatch.lhs.startswith("2/5 + ")
+        monkeypatch.setattr(identities, "zeta_two_power", lambda j: true_zeta(j) + 0)
+        assert lemma_combinatorial_check(10).ok
+
+    def test_mismatch_under_optimize(self):
+        # python -O strips asserts; a non-integral coefficient still gives a report
+        script = (
+            "from fractions import Fraction\n"
+            "from macmahon import identities\n"
+            "real = identities.zeta_two_power\n"
+            "identities.zeta_two_power = lambda j: real(j) * Fraction(3, 2) if j == 3 else real(j)\n"
+            "assert False, 'asserts are live'\n"
+            "report = identities.lemma_combinatorial_check(10)\n"
+            "print(report.status, report.mismatch.coords, report.mismatch.note)\n"
+        )
+        src = str(Path(identities.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "mismatch {'n': 4} weight-graded form\n"
 
     def test_scalar_mismatch_report_is_in_fractions(self, monkeypatch):
         def comb(n, k):

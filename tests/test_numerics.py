@@ -140,7 +140,10 @@ class TestMultitangent:
 
 
 def whole_box_engine(ks, tau, cutoff):
-    """The lattice engine over whole arrays of all 2*cutoff + 1 points: (corrected, raw)."""
+    """The lattice engine over whole arrays of all 2*cutoff + 1 points: (corrected, raw).
+
+    ``corrected`` holds the corrected value after every level, for k_1..k_i.
+    """
     import numpy as np
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
@@ -149,7 +152,7 @@ def whole_box_engine(ks, tau, cutoff):
         scratch = np.empty_like(v)
         raw = np.empty(len(ns) + 1, dtype=np.complex128)
         cor = np.empty_like(raw)
-        psi = 1.0 + 0j
+        psi, corrected = 1.0 + 0j, []
         for i, k in enumerate(ks):
             np.power(np.add(ns, tau, out=v), -k, out=v)
             if i == 0:
@@ -163,7 +166,8 @@ def whole_box_engine(ks, tau, cutoff):
             raw[0] = 0.0
             cor[0] = seed
             psi = complex(cor[-1]) + numerics._em_tail(k, tau, cutoff + 1, -1) * psi
-    return psi, complex(raw[-1])
+            corrected.append(psi)
+    return tuple(corrected), complex(raw[-1])
 
 
 ENGINE_KS = [(2,), (3,), (2, 2), (3, 2), (2, 2, 2), (2, 3, 4), (2, 2, 2, 2), (4, 2, 3, 2)]
@@ -190,6 +194,23 @@ class TestBlockedEngine:
                 for tau in ENGINE_TAUS:
                     assert numerics._tangent_engine(ks, tau, cutoff) == \
                         whole_box_engine(ks, tau, cutoff), (ks, cutoff, tau)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    def test_leading_values_are_their_own_passes(self, chunk, monkeypatch):
+        # Psi_{k_1..k_i} read off the deeper pass equals its own call, bit for bit
+        if chunk is None:
+            half = numerics._CHUNK // 2
+            cutoffs = (half - 1, half, numerics._CHUNK, 3 * half)
+        else:
+            monkeypatch.setattr(numerics, "_CHUNK", chunk)
+            cutoffs = (6, 7, 8, 30)
+        for ks in ((2, 2), (2, 2, 2), (3, 2), (2, 3, 4), (4, 2, 3, 2)):
+            for cutoff in cutoffs:
+                for tau in ENGINE_TAUS:
+                    leading = multitangent(ks, tau, cutoff).leading
+                    assert leading[0] == monotangent(ks[0], tau, cutoff).value
+                    assert leading == tuple(multitangent(ks[:i], tau, cutoff).value
+                                            for i in range(1, len(ks) + 1)), (ks, cutoff, tau)
 
     def test_memory_is_bounded_by_the_block(self):
         # whole arrays of the 2e6 + 1 points would take about 144 MB

@@ -352,6 +352,19 @@ class TestChainCheckMessages:
         with pytest.raises(RouteMismatchError, match="k=6, n=37$"):
             multiple_divisor_series((2,) * 6, 37, odd)
 
+    @pytest.mark.parametrize("odd", [False, True])
+    @pytest.mark.parametrize("n", [0, 11])
+    @pytest.mark.parametrize("delta", [1, F(1, 2)])
+    def test_a_given_sieve_is_checked(self, odd, n, delta):
+        order = 30
+        sieve = eisenstein_odd(2, order) if odd else eisenstein(2, order) + F(1, 24)
+        assert qseries._macmahon_chain(4, order, odd, sieve) == \
+            qseries._macmahon_chain(4, order, odd)
+        wrong = sieve + Series([0] * n + [delta] + [0] * (order - n))
+        with pytest.raises(RouteMismatchError) as exc:
+            qseries._macmahon_chain(4, order, odd, wrong)
+        assert str(exc.value) == f"product-DP vs divisor sieve at k=1, n={n}"
+
 
 class TestMacMahon:
     def test_a1(self):

@@ -13,6 +13,10 @@ from macmahon.series import (
     LambdaPoly,
     NonzeroConstantTermError,
     Series,
+    _bias,
+    _pack,
+    _SLOT_CODES,
+    _unpack,
     arcsin_series,
     series_ring,
 )
@@ -321,12 +325,60 @@ class TestSparsePoly:
             with pytest.raises(ValueError):
                 op(HARMONIC.word(2), other.word(2))
 
+    @pytest.mark.parametrize("make, mon", KINDS)
+    def test_integral_scalar_products_are_ints(self, make, mon):
+        p = make({mon: F(3, 2)})
+        for q, value in ((p * 2, 3), (p / F(1, 4), 6), (p * F(-2, 3), -1), (6 * p, 9)):
+            (c,) = q.terms.values()
+            assert type(c) is int and c == value
+            # equal to, and printed as, the same polynomial with a Fraction held
+            assert q == make({mon: F(value)}) and str(q) == str(make({mon: F(value)}))
+        (c,) = (p * 3).terms.values()
+        assert c == F(9, 2) and type(c) is F
+
+    def test_quasi_shuffle_exp_runs_on_ints(self):
+        algebra = QuasiShuffleAlgebra()
+        z = [algebra.ring.zero] + [algebra.word(2 * k) * F(1 if k % 2 else -1, k)
+                                   for k in range(1, 7)]
+        b = Series(z, algebra.ring).exp()
+        for n in range(7):
+            assert b[n] == algebra.combo({(2,) * n: 1})
+            assert all(type(c) is int for c in b[n].terms.values())
+        # a series over the rationals still reads as Fractions
+        assert all(type(c) is F for c in Series([1, 2, F(4, 2)]).coeffs)
+
     def test_products_own_their_terms(self):
         algebra = QuasiShuffleAlgebra()
         x = algebra.product((2,), (3, 1))
         cached = algebra._cache[((2,), (3, 1))]
         assert x.terms == cached and x.terms is not cached
         assert algebra.product((), (2,)).terms is not algebra.product((), (2,)).terms
+
+
+def reference_pack(nums, width):
+    """The packed int as defined: sum_i nums[i] * 256^(width*i)."""
+    return sum(c << (8 * width * i) for i, c in enumerate(nums))
+
+
+class TestPacking:
+    """``_pack``/``_unpack`` at every struct slot width and one wider one."""
+
+    @pytest.mark.parametrize("width", sorted(_SLOT_CODES) + [3, 13])
+    def test_round_trip(self, width):
+        rng = random.Random(width)
+        half = 1 << (8 * width - 1)
+        for size in (1, 2, 7, 38, 200):
+            for _ in range(2):  # the second round meets a cached bias
+                nums = [rng.randint(-half + 1, half - 1) for _ in range(size)]
+                nums[0], nums[-1] = -half + 1, half - 1
+                packed = _pack(nums, width)
+                assert packed == reference_pack(nums, width)
+                assert _unpack(packed, width, size) == tuple(nums)
+                # higher slots are dropped whatever they hold
+                assert _unpack(packed + (rng.randint(-9, 9) << (8 * width * size)),
+                               width, size) == tuple(nums)
+                assert _bias(width, size) == int.from_bytes(
+                    half.to_bytes(width, "little") * size, "little")
 
 
 class TestKroneckerProduct:
