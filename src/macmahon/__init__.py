@@ -38,7 +38,6 @@ from .numerics import (
     richardson,
 )
 from .qseries import (
-    Index,
     RouteMismatchError,
     bernoulli,
     divisor_power_sums,
@@ -52,10 +51,8 @@ from .qseries import (
 )
 from .quasishuffle import HARMONIC, QuasiShuffleAlgebra, WordCombo, harmonic_diamond
 from .series import (
-    LAMBDAS,
     RATIONALS,
     CoeffRing,
-    LambdaPoly,
     NonzeroConstantTermError,
     Series,
     arcsin_series,
@@ -65,8 +62,7 @@ from .series import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoeffRing", "DivergenceError", "GeneratorPoly", "HARMONIC", "Index",
-    "LAMBDAS", "LambdaPoly", "LimitReport", "Mismatch",
+    "CoeffRing", "DivergenceError", "GeneratorPoly", "HARMONIC", "LimitReport", "Mismatch",
     "NoRepresentationError", "NonConvergenceError", "NonzeroConstantTermError",
     "QuasiShuffleAlgebra", "RATIONALS", "Representation", "RouteMismatchError", "Series",
     "SeriesValue", "TangentSum", "VerdictReport", "arcsin_series",

@@ -53,12 +53,11 @@ with D = q d/dq.  A disagreement raises :class:`RouteMismatchError`, which
 
 from __future__ import annotations
 
+import operator
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isqrt, lcm
-from typing import Sequence
 
 from .oracles import partition_oracle  # noqa: F401  (re-exported)
 from .series import Series, _kronecker_ints, _unpack, _width
@@ -150,41 +149,17 @@ def eisenstein_odd(k: int, order: int) -> Series:
     return direct
 
 
-@dataclass(frozen=True)
-class Index:
-    """An integer composition (k_1, ..., k_r), the index of a nested sum."""
-
-    parts: tuple
-
-    def __init__(self, parts: Sequence[int]):
-        parts = tuple([int(p) for p in parts])
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError("an index needs at least one part, all parts >= 1")
-        object.__setattr__(self, "parts", parts)
-
-    @property
-    def depth(self) -> int:
-        return len(self.parts)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def admissible(self) -> bool:
-        return self.parts[0] >= 2
-
-    @property
-    def all_geq_two(self) -> bool:
-        return min(self.parts) >= 2
-
-
 def _as_parts(index) -> tuple:
-    if isinstance(index, Index):
-        return index.parts
+    """The parts (k_1, ..., k_r) of an index given as one int or a sequence of ints.
+
+    Each part is taken with ``operator.index``, so a float raises `TypeError`.
+    """
     if isinstance(index, int):
-        return (index,)
-    return Index(index).parts
+        index = (index,)
+    parts = tuple([operator.index(k) for k in index])
+    if not parts or min(parts) < 1:
+        raise ValueError("an index needs at least one part, all parts >= 1")
+    return parts
 
 
 @lru_cache(maxsize=None)

@@ -6,16 +6,15 @@ descriptor supplying the two units.  The same :class:`Series` class then
 covers every nesting used in this package:
 
 * series in q over `Fraction` (divisor generating functions),
-* series in q over :class:`LambdaPoly`,
 * series in X or Y = T^2 whose coefficients are themselves series in q,
 * series in X over polynomials in named generators,
 * series in T over linear combinations of quasi-shuffle words.
 
-The three polynomial rings, L-polynomials (:class:`LambdaPoly`),
-polynomials in named generators (:class:`~macmahon.identities.GeneratorPoly`)
-and combinations of words (:class:`~macmahon.quasishuffle.WordCombo`), are
-thin subclasses of :class:`SparsePoly`, which holds their one copy of the
-sparse ``{monomial: coefficient}`` arithmetic; each subclass adds only its
+The two polynomial rings, polynomials in named generators
+(:class:`~macmahon.identities.GeneratorPoly`) and combinations of words
+(:class:`~macmahon.quasishuffle.WordCombo`), are thin subclasses of
+:class:`SparsePoly`, which holds their one copy of the sparse
+``{monomial: coefficient}`` arithmetic; each subclass adds only its
 monomials, their product and its rendering.
 
 Truncation is explicit and lossy: a binary operation returns a series whose
@@ -62,7 +61,6 @@ takes O(n^2) of each, plus a gcd pass per term.
 
 from __future__ import annotations
 
-import operator
 import struct
 from fractions import Fraction
 from functools import lru_cache
@@ -226,48 +224,6 @@ class SparsePoly:
 
     def __repr__(self):
         return f"{type(self).__name__}({self.terms!r})"
-
-
-class LambdaPoly(SparsePoly):
-    """Polynomial in the formal weight symbol L = (2*pi*i)^2.
-
-    Keeps track of the powers of 2*pi*i attached to weight-graded objects;
-    under this convention pi^2 = -L/4.  ``terms`` maps exponents e >= 0 to
-    coefficients; the L^0 part is the purely rational component.
-    """
-
-    __slots__ = ()
-
-    UNIT = 0
-
-    @staticmethod
-    def _monomial(e):
-        e = operator.index(e)
-        if e < 0:
-            raise ValueError("negative L exponent")
-        return e
-
-    @staticmethod
-    def _mul_monomials(e1, e2):
-        return ((e1 + e2, 1),)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            if e == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append("L" if e == 1 else f"L^{e}")
-            else:
-                parts.append(f"{c}*L" if e == 1 else f"{c}*L^{e}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-#: Polynomials in L = (2*pi*i)^2 as a coefficient ring.
-LAMBDAS = CoeffRing(LambdaPoly(), LambdaPoly({0: 1}))
 
 
 def _depth(x) -> int:
@@ -618,10 +574,10 @@ class Series:
         Kronecker substitution (:func:`_kronecker_ints`: O(n) packing, one
         big-integer product, O(n) read-out) and their denominators, then
         reduce once.  A scalar int or `Fraction` scales the numerators and
-        the denominator.  The other rings (L-polynomials, generator
-        polynomials, quasi-shuffle words, nested series) use the
-        schoolbook convolution, at most (n + 1)(n + 2)/2 coefficient
-        products: pairs with a zero factor are skipped, as in :meth:`exp`.
+        the denominator.  The other rings (generator polynomials,
+        quasi-shuffle words, nested series) use the schoolbook
+        convolution, at most (n + 1)(n + 2)/2 coefficient products: pairs
+        with a zero factor are skipped, as in :meth:`exp`.
         """
         if self._is_peer(other):
             n = min(self.order, other.order)

@@ -14,7 +14,6 @@ import macmahon
 from macmahon import qseries
 from macmahon.oracles import nested_divisor_series
 from macmahon.qseries import (
-    Index,
     RouteMismatchError,
     bernoulli,
     divisor_power_sums,
@@ -428,16 +427,13 @@ class TestPartitionOracle:
 
 
 class TestIndex:
-    def test_flags(self):
-        assert Index((2, 1)).admissible
-        assert not Index((1, 2)).admissible
-        assert Index((2, 3)).all_geq_two
-        assert not Index((2, 1)).all_geq_two
-        assert Index((2, 1, 4)).depth == 3
-        assert Index((2, 1, 4)).weight == 7
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            Index(())
+            multiple_divisor_series((), 8)
         with pytest.raises(ValueError):
-            Index((2, 0))
+            multiple_divisor_series((2, 0), 8)
+        # a float part raises, as eisenstein(4.0, 5) does, and is never truncated
+        with pytest.raises(TypeError):
+            multiple_divisor_series((2.5, 2), 8)
+        with pytest.raises(TypeError):
+            multiple_divisor_series(2.0, 8)

@@ -8,9 +8,7 @@ from math import comb, factorial
 import pytest
 
 from macmahon.series import (
-    LAMBDAS,
     RATIONALS,
-    LambdaPoly,
     NonzeroConstantTermError,
     Series,
     _bias,
@@ -23,6 +21,8 @@ from macmahon.series import (
 from macmahon.identities import GENPOLYS, GeneratorPoly
 from macmahon.qseries import eisenstein, eisenstein_odd
 from macmahon.quasishuffle import HARMONIC, QuasiShuffleAlgebra
+
+from lambda_poly import LAMBDAS, LambdaPoly
 
 
 def lift_rationals(f, ring):

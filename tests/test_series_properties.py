@@ -12,7 +12,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from macmahon.identities import GeneratorPoly, _scale_by_rationals  # noqa: E402
 from macmahon.quasishuffle import QuasiShuffleAlgebra  # noqa: E402
-from macmahon.series import LAMBDAS, RATIONALS, LambdaPoly, Series, series_ring  # noqa: E402
+from lambda_poly import LAMBDAS, LambdaPoly  # noqa: E402
+from macmahon.series import RATIONALS, Series, series_ring  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
 

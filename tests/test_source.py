@@ -48,3 +48,13 @@ def test_no_tuple_of_a_generator_and_no_splatted_generator():
     hits = [f"{path.name}:{line}" for path in SOURCES
             for line in found(ast.parse(path.read_text(), str(path)))]
     assert hits == []
+
+
+def test_public_names_resolve():
+    # every name in __all__ is defined once, and a star import takes them all
+    names = macmahon.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(macmahon, n)] == []
+    scope = {}
+    exec("from macmahon import *", scope)
+    assert set(names) <= scope.keys()
