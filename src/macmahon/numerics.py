@@ -29,6 +29,12 @@ Both nested sums are one kernel, ``_ordered_sums``: cumulative sums over
 the points (lattice points n or part sizes m) in numpy blocks of fixed
 length, so depth r costs O(points * r) time, not O(points^r), and the
 memory does not grow with the number of points (millions near q = 1).
+Its weights come by multiplication, with no power per point: the lattice
+weight (tau + n)^(-k) is a product of k factors 1/(tau + n) from one
+reciprocal (``_lattice_weights``), and q^m is one scalar power of q per
+run of sizes times a table of powers built once per call
+(``_size_powers``).  Each weight depends on its point alone, so every sum
+is bit for bit the same however the points are blocked.
 
 numpy is imported on first use, so the exact layers and the CLI commands
 that need no numerics do not pay its import time and memory.
@@ -56,6 +62,8 @@ class NonConvergenceError(RuntimeError):
 
 def _require_tau(tau: complex) -> complex:
     tau = complex(tau)
+    if not cmath.isfinite(tau):
+        raise ValueError("tau must be finite")
     if not tau.imag > 0:
         raise ValueError("tau must lie in the upper half plane (positive imaginary part)")
     return tau
@@ -81,11 +89,16 @@ class TangentSum:
 
 
 def _em_tail(k: int, tau: complex, a: int, sign: int) -> complex:
-    """Euler-Maclaurin value of sum_{n>=a} (tau + sign*n)^(-k)."""
-    z = tau + sign * a
-    integral = sign * z ** (1 - k) / (k - 1)
-    f = z ** (-k)
-    fp = -k * sign * z ** (-k - 1)
+    """Euler-Maclaurin value of sum_{n>=a} (tau + sign*n)^(-k).
+
+    The terms are powers of r = 1/(tau + sign*a), which underflow toward 0
+    as the terms do; Python forms z^(-k-1) as 1/z^(k+1), which is nan once
+    z^(k+1) overflows (k = 62 at a = 10^5).
+    """
+    r = 1 / (tau + sign * a)
+    integral = sign * r ** (k - 1) / (k - 1)
+    f = r ** k
+    fp = -k * sign * r ** (k + 1)
     return integral + f / 2 - fp / 12
 
 
@@ -101,9 +114,12 @@ _CHUNK = 1 << 14
 # multitangent refuses depth * (2 * cutoff + 1) above this many lattice terms
 _MAX_LATTICE_TERMS = 10**8
 
-# _eval_macmahon's relative tail tolerance and default cap on part sizes
+# _eval_macmahon's tail target (times e^-6) and default cap on part sizes
 _REL_TOL = 1e-15
 _MAX_TERMS = 5_000_000
+
+# part sizes per run of _size_powers: one scalar power each, and the table's length
+_RUN = 1 << 12
 
 
 def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = ()) -> list:
@@ -167,30 +183,51 @@ def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = (
     return [[dtype(t) for t in sums] for sums in tot]
 
 
+def _lattice_weights(ks: Sequence[int], tau: complex, size: int):
+    """The ``weights`` of ``_ordered_sums`` for (tau + n)^(-k_i) at level i, blocks <= ``size``.
+
+    Each block takes one reciprocal r = 1/(tau + n), and (tau + n)^(-k) is
+    the product r * r * ... * r of k factors, left to right, so a weight
+    depends on n and k alone and no intermediate exceeds the weight's own
+    size as (tau + n)^k would.  Every product goes into a buffer apart from
+    its inputs (see ``_ordered_sums``).  A level with the previous level's
+    exponent reuses its weights.
+    """
+    import numpy as np
+
+    inv_buf, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
+
+    def levels(ns, out):
+        inv = np.reciprocal(np.add(ns, tau, out=out), out=inv_buf[:len(ns)])
+        bufs = (out, spare[:len(ns)])
+        for i, k in enumerate(ks):
+            if not i or k != ks[i - 1]:
+                w = inv
+                for j in range(k - 1):
+                    w = np.multiply(w, inv, out=bufs[j % 2])
+            yield w
+
+    return levels
+
+
 def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     """Ordered box sum over cutoff >= n_1 > ... > n_r >= -cutoff: ``(corrected, raw)``.
 
-    ``_ordered_sums`` with weights (tau + n)^(-k_i) at level i.  The raw
-    chain is the box sum alone; the corrected one restores the two dominant
-    boundary channels at each depth: the upper seed of the innermost level
-    and, at every level, the lower tail weighted by the full lower-depth value.
+    ``_ordered_sums`` with weights (tau + n)^(-k_i) at level i, products of
+    one reciprocal per point (``_lattice_weights``).  The raw chain is the
+    box sum alone; the corrected one restores the two dominant boundary
+    channels at each depth: the upper seed of the innermost level and, at
+    every level, the lower tail weighted by the full lower-depth value.
     ``corrected`` holds that value at every depth i, for k_1..k_i; level i
     of the pass reads only the levels before it, so each equals the pass
     over k_1..k_i alone.
     """
-    import numpy as np
-
-    def levels(ns, out):
-        # a level with the previous level's exponent reuses its weights
-        for i, k in enumerate(ks):
-            if not i or k != ks[i - 1]:
-                np.power(np.add(ns, tau, out=out), -k, out=out)
-            yield out
-
+    points = range(cutoff, -cutoff - 1, -1)
     # only the innermost level has an upper seed, the others' are
     # O(cutoff^-(k_i + k_(i-1) - 1)) and folded into neglected_bound
     upper = _em_tail(ks[0], tau, cutoff + 1, +1)
-    raw, cor = _ordered_sums(levels, len(ks), range(cutoff, -cutoff - 1, -1), complex, (upper,))
+    levels = _lattice_weights(ks, tau, min(_CHUNK, len(points)))
+    raw, cor = _ordered_sums(levels, len(ks), points, complex, (upper,))
     psi, corrected = 1.0 + 0j, []
     for k, total in zip(ks, cor):
         psi = total + _em_tail(k, tau, cutoff + 1, -1) * psi
@@ -333,23 +370,54 @@ def eval_qseries_at(name: str, param: int, q: float,
     raise ValueError(f"unknown series name {name!r}")
 
 
-def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, k: int = 2) -> SeriesValue:
-    """Sum over part sizes m_1 > ... > m_r of prod f(m_i), f(m) = sum_d d^(k-1) q^(md)/(k-1)!."""
+def _size_powers(q: float, step: int, count: int):
+    """q^m for the part sizes m = 1 + step*i, i < ``count``, in descending blocks.
+
+    Size m = 1 + step*i lies in run i // _RUN; each run takes one scalar
+    power of q at its smallest size, times q^(step*j) from a table of one
+    run built here.  So q^m depends on m alone, however the sizes are
+    blocked, and is the product of two powers within 1 ulp each: its
+    relative error is below 5 * 2^-53.  Returns ``fill(ms, out)``, which
+    writes q^m for the descending sizes ``ms`` into ``out`` and returns it.
+    """
     import numpy as np
 
-    # f(m) <= q^m/(1-q)^k, so the tail over m > M is below q^(M+1)/(1-q)^(k+1):
-    # pick M with q^M < _REL_TOL * (1-q)^(k+1), plus a few digits of slack
-    need = math.log(_REL_TOL) + (k + 1) * math.log1p(-q) - 6.0
-    m_top = max(1, int(need / math.log(q)) + 1)
+    width = min(_RUN, count)
+    # table[t] = q^(step*j) for j = width - 1 - t: a run's sizes in descending order
+    table = np.power(q, np.arange(step * (width - 1), -1, -step, dtype=np.float64))
+
+    def fill(ms, out):
+        i, pos = (int(ms[0]) - 1) // step, 0
+        while pos < len(ms):
+            run, j = divmod(i, _RUN)
+            n = min(j + 1, len(ms) - pos)
+            t = width - 1 - j
+            np.multiply(table[t:t + n], q ** (1 + step * _RUN * run), out=out[pos:pos + n])
+            i, pos = i - n, pos + n
+        return out
+
+    return fill
+
+
+def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, k: int = 2) -> SeriesValue:
+    """Sum over part sizes m_1 > ... > m_r of prod f(m_i), f(m) = sum_d d^(k-1) q^(md)/(k-1)!."""
+    # f(m) = q^m A_(k-1)(q^m)/((k-1)! (1-q^m)^k) <= q^m/(1-q^(M+1))^k for m > M,
+    # as A_(k-1) <= (k-1)! on [0, 1].  With e^c = _REL_TOL * e^-6 * (1-q), pick
+    # M with q^M < e^c (1-e^c)^k: then q^(M+1) < e^c, and the tail over m > M
+    # is below q^(M+1)/((1-q)(1-e^c)^k) < q * _REL_TOL * e^-6
+    c = math.log(_REL_TOL) - 6.0 + math.log1p(-q)
+    m_top = max(1, int((c + k * math.log1p(-math.exp(c))) / math.log(q)) + 1)
     capped = m_top > max_terms
     m_top = min(m_top, max_terms)
     if odd and m_top % 2 == 0:
         m_top = max(1, m_top - 1)
-    sizes = range(m_top, 0, -2 if odd else -1)
+    step = 2 if odd else 1
+    sizes = range(m_top, 0, -step)
+    powers = _size_powers(q, step, len(sizes))
 
     # f goes without its 1/(k-1)!, which divides the total once per level
     def levels(ms, out):
-        return itertools.repeat(_power_sum(k - 1, np.power(q, ms, out=out)), r)
+        return itertools.repeat(_power_sum(k - 1, powers(ms, out)), r)
 
     total = _ordered_sums(levels, r, sizes, float)[0][-1]
     value = total / math.factorial(k - 1) ** r

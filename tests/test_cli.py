@@ -193,6 +193,15 @@ class TestNumericCommand:
         assert run(capsys, "numeric", "--check", "monotangent", "--k", "2",
                    "--tau", "nope")[0] == 1
 
+    @pytest.mark.parametrize("check", [("monotangent", "--k", "2"),
+                                       ("multitangent", "--ks", "2,2")])
+    @pytest.mark.parametrize("tau", ["nan,1", "inf,1", "0,inf"])
+    def test_non_finite_tau_is_exit_one(self, capsys, check, tau):
+        code, out, err = run(capsys, "numeric", "--check", *check, f"--tau={tau}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tau must be finite\n"
+
     def test_multitangent_ratio(self, capsys):
         code, out, _ = run(capsys, "numeric", "--check", "multitangent", "--ks", "2,2",
                            "--tau", "0,1", "--cutoff", "10000", "--format", "json")

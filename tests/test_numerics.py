@@ -69,6 +69,24 @@ class TestMonotangent:
         with pytest.raises(ValueError):
             lipschitz_value(2, 0.5)
 
+    @pytest.mark.parametrize("tau", [complex(math.nan, 1), complex(math.inf, 1),
+                                     complex(0, math.inf), complex(-math.inf, math.nan)])
+    def test_finite_tau_required(self, tau, monkeypatch):
+        def engine(*args):
+            pytest.fail("the lattice engine ran on a non-finite tau")
+
+        monkeypatch.setattr(numerics, "_tangent_engine", engine)
+        for call in (lambda: monotangent(2, tau, 100), lambda: lipschitz_value(2, tau)):
+            with pytest.raises(ValueError, match="^tau must be finite$"):
+                call()
+
+    def test_high_order(self):
+        # (tau + n)^-62 underflows toward 0 far out; the Euler-Maclaurin tail
+        # once overflowed to nan there
+        lattice = monotangent(62, 1j, 10**5)
+        qside = lipschitz_value(62, 1j)
+        assert abs(lattice.value - qside) <= 1e-13 * abs(qside)
+
 
 class TestMultitangent:
     def test_depth_one_same_code_path(self):
@@ -148,13 +166,16 @@ def whole_box_engine(ks, tau, cutoff):
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         ns = np.arange(cutoff, -cutoff - 1, -1, dtype=np.float64)
-        v = np.empty(len(ns), dtype=np.complex128)
-        scratch = np.empty_like(v)
+        inv = np.reciprocal(ns + tau)
+        scratch = np.empty_like(inv)
         raw = np.empty(len(ns) + 1, dtype=np.complex128)
         cor = np.empty_like(raw)
         psi, corrected = 1.0 + 0j, []
         for i, k in enumerate(ks):
-            np.power(np.add(ns, tau, out=v), -k, out=v)
+            # (tau + n)^(-k) as the product of k reciprocals, left to right
+            v = inv
+            for _ in range(k - 1):
+                v = v * inv
             if i == 0:
                 seed = numerics._em_tail(k, tau, cutoff + 1, +1)
                 np.cumsum(v, out=raw[1:])
@@ -304,8 +325,8 @@ class TestEvalAt:
 
 def scalar_eval_macmahon(r, q, odd, max_terms, rel_tol):
     """The per-size Python loop over m_1 > ... > m_r: (value, terms, converged)."""
-    need = math.log(rel_tol) + 3 * math.log1p(-q) - 6.0
-    m_top = max(1, int(need / math.log(q)) + 1)
+    c = math.log(rel_tol) - 6.0 + math.log1p(-q)
+    m_top = max(1, int((c + 2 * math.log1p(-math.exp(c))) / math.log(q)) + 1)
     capped = m_top > max_terms
     m_top = min(m_top, max_terms)
     if odd and m_top % 2 == 0:
@@ -327,7 +348,7 @@ class TestEvalMacmahonChunked:
     def check(r, q, odd, max_terms=5_000_000):
         got = _eval_macmahon(r, q, odd, max_terms)
         value, terms, converged = scalar_eval_macmahon(r, q, odd, max_terms, 1e-15)
-        # numpy's power and libm's pow differ in the last ulp of some q^m
+        # the run table's q^m and libm's pow differ in the last ulps of some q^m
         assert abs(got.value - value) <= 1e-12 * value
         assert (got.terms, got.converged) == (terms, converged)
         return terms
@@ -376,13 +397,17 @@ def whole_size_sum(r, q, odd, k):
     """_eval_macmahon over one whole array of all part sizes: (value, terms)."""
     import numpy as np
 
-    need = math.log(1e-15) + (k + 1) * math.log1p(-q) - 6.0
-    m_top = max(1, int(need / math.log(q)) + 1)
+    c = math.log(1e-15) - 6.0 + math.log1p(-q)
+    m_top = max(1, int((c + k * math.log1p(-math.exp(c))) / math.log(q)) + 1)
     if odd and m_top % 2 == 0:
         m_top -= 1
+    step, run = (2 if odd else 1), numerics._RUN
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        sizes = np.arange(m_top, 0, -2 if odd else -1, dtype=np.float64)
-        f = numerics._power_sum(k - 1, q ** sizes)
+        # q^m = q^(1 + step*run*a) * q^(step*j) for the size m = 1 + step*(run*a + j)
+        i = np.arange((m_top - 1) // step, -1, -1)
+        bases = np.array([q ** (1 + step * run * a) for a in range(i[0] // run + 1)])
+        table = np.power(q, step * np.arange(run, dtype=np.float64))
+        f = numerics._power_sum(k - 1, bases[i // run] * table[i % run])
         before = np.ones_like(f)
         for _ in range(r):
             sums = np.cumsum(f * before)
@@ -410,6 +435,17 @@ class TestEvalMacmahonBlocked:
     def test_small_chunks(self, chunk, monkeypatch):
         monkeypatch.setattr(numerics, "_CHUNK", chunk)
         for r, odd, k in itertools.product([1, 2, 3, 4], [False, True], [2, 4]):
+            for q in (0.5, 1 - 2.0**-4):
+                self.check(r, q, odd, k)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, None])
+    @pytest.mark.parametrize("run", [1, 3, 50])
+    def test_short_runs(self, chunk, run, monkeypatch):
+        # runs shorter than the blocks, and blocks shorter than the runs
+        if chunk is not None:
+            monkeypatch.setattr(numerics, "_CHUNK", chunk)
+        monkeypatch.setattr(numerics, "_RUN", run)
+        for r, odd, k in itertools.product([1, 3], [False, True], [2, 4]):
             for q in (0.5, 1 - 2.0**-4):
                 self.check(r, q, odd, k)
 
