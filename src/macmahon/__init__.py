@@ -49,7 +49,7 @@ from .qseries import (
     multiple_divisor_series_odd,
     partition_oracle,
 )
-from .quasishuffle import HARMONIC, QuasiShuffleAlgebra, WordCombo, harmonic_diamond
+from .quasishuffle import HARMONIC, QuasiShuffleAlgebra, WordCombo
 from .series import (
     RATIONALS,
     CoeffRing,
@@ -68,7 +68,7 @@ __all__ = [
     "SeriesValue", "TangentSum", "VerdictReport", "arcsin_series",
     "bernoulli", "divisor_power_sums", "eisenstein", "eisenstein_odd",
     "eval_qseries_at", "express_in_generators", "extract_polynomials",
-    "format_generator_poly", "harmonic_diamond", "lemma_combinatorial_check",
+    "format_generator_poly", "lemma_combinatorial_check",
     "limit_check", "lipschitz_value", "macmahon_a",
     "macmahon_c", "monotangent", "multiple_divisor_series",
     "multiple_divisor_series_odd", "multitangent", "partition_oracle",

@@ -213,14 +213,14 @@ def _even_arcsin_factor(y_order: int) -> Series:
 
 
 def _half_sinc(order: int) -> Series:
-    """sin(S/2)/(S/2) in U = S^2: coefficient of U^n is (-1)^n/(4^n (2n+1)!)."""
-    return Series([Fraction((-1) ** n, 4**n * factorial(2 * n + 1)) for n in range(order + 1)])
+    """sin(S/2)/(S/2) in U = S^2: coefficient of U^n is z_n = (-1)^n/(4^n (2n+1)!)."""
+    return Series([zeta_two_power(n) for n in range(order + 1)])
 
 
 def _scale_by_rationals(f: Series, u: Series) -> Series:
     """f * u for a series u over the rationals whose coefficients act on f's as scalars."""
-    order = min(f.order, u.order)
-    return f._combinations([[(k - j, u[j]) for j in range(k + 1) if u[j]]
+    order, c = min(f.order, u.order), u.coeffs
+    return f._combinations([[(k - j, c[j]) for j in range(k + 1) if c[j]]
                             for k in range(order + 1)])
 
 
@@ -293,7 +293,7 @@ def _verify_main(odd: bool, q_order: int, x_order: int) -> VerdictReport:
     inner = series_ring(RATIONALS, q_order)
     gen = eisenstein_odd if odd else eisenstein
     gens = {j: gen(2 * j, q_order) for j in range(1, y_order + 1)}
-    consts = {j: g.truncate(0)[0] for j, g in gens.items()}  # g[0] builds every Fraction of g
+    consts = {j: g[0] for j, g in gens.items()}
     # the constant factor in U = S^2: exp(phi_0(U)) against the reciprocal of
     # the prefactor, sin(S/2)/(S/2) for A (Euler's product for sin) and 1 for C
     target = Series.constant(1, y_order) if odd else _half_sinc(y_order)
@@ -569,16 +569,14 @@ def verify_geng22(t_order: int, q_order: int) -> VerdictReport:
     inner = series_ring(RATIONALS, q_order)
     half = (t_order - 1) // 2
 
-    gens = [eisenstein(2 * k, q_order) for k in range(1, half + 1)]
-    phi = Series([inner.zero] + [g * Fraction(1 if k % 2 else -1, k)
-                                 for k, g in enumerate(gens, 1)], inner)
-    lhs = phi.exp()
+    gens = {k: eisenstein(2 * k, q_order) for k in range(1, half + 1)}
+    lhs = _log_series(gens, half, inner).exp()
 
-    # zeta({2}^j) at L = 1 is the coefficient of Y^j in Z/T
-    z_over_t = Series([zeta_two_power(j) for j in range(half + 1)])
+    # zeta({2}^j) at L = 1 is the coefficient of Y^j in Z/T, which is sin(T/2)/(T/2)
+    z_over_t = _half_sinc(half)
     z_sq = (z_over_t * z_over_t).shift(1)
     # G_{2,...,2} of depth l is A_l; the chain check reads its sieve in A_1 = G_2 - G_2(0)
-    chain = _macmahon_chain(half, q_order, odd=False, sieve=gens[0] - gens[0].truncate(0)[0])
+    chain = _macmahon_chain(half, q_order, odd=False, sieve=gens[1] - gens[1][0])
     rhs = _scale_by_rationals(Series([inner.one] + chain, inner).compose(z_sq), z_over_t)
     return _first_mismatch("geng22", params, lhs, rhs, "t_exp", 2, 1, _l_monomial)
 

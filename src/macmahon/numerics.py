@@ -419,25 +419,33 @@ def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, k: int = 2) -> S
     def levels(ms, out):
         return itertools.repeat(_power_sum(k - 1, powers(ms, out)), r)
 
-    total = _ordered_sums(levels, r, sizes, float)[0][-1]
-    value = total / math.factorial(k - 1) ** r
+    fact = math.factorial(k - 1)
+    totals = _ordered_sums(levels, r, sizes, float)[0]
+    value = totals[-1] / fact ** r
     if capped:
-        nxt = q ** (m_top + 1) / (1 - q) ** k
-        if nxt > 1e-9 * abs(value):
+        # f past M = m_top sums to at most tail (the bound above); a chain with a
+        # size past M has its largest there, so the depth-j sum misses at most
+        # tail * bound(j - 1), bound(j) = (depth-j sum) + that, bound(0) = 1
+        top = q ** (m_top + 1)
+        tail = top / ((1 - q) * (1 - top) ** k)
+        bound = 1.0
+        for j, total in enumerate(totals[:-1], 1):
+            bound = total / fact ** j + tail * bound
+        if tail * bound >= 1e-9 * abs(value):
             raise NonConvergenceError(
-                f"term cap {max_terms} reached with next term ~{nxt:.2e}")
+                f"term cap {max_terms} reached with truncation error up to ~{tail * bound:.2e}")
     return SeriesValue(value, len(sizes), not capped)
 
 
-def richardson(values: Sequence[float], steps: Sequence[float], levels: int = 2) -> float:
+def richardson(values: Sequence[float], steps: Sequence[float]) -> float:
     """Polynomial extrapolation of values(h) to h = 0 (Neville scheme).
 
-    Eliminates the leading ``levels`` powers of h using the last
-    ``levels + 1`` nodes; with fewer nodes the scheme degrades gracefully.
+    Eliminates the leading two powers of h using the last three nodes, or
+    one power with two nodes.
     """
     if len(values) != len(steps) or not values:
         raise ValueError("values and steps must be equally sized and non-empty")
-    levels = min(levels, len(values) - 1)
+    levels = min(2, len(values) - 1)
     use = len(values) - levels - 1
     r = list(values[use:])
     h = list(steps[use:])

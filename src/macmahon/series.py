@@ -122,11 +122,12 @@ class SparsePoly:
     :meth:`_mul_monomials`, the product of two monomials as
     ``(monomial, multiplicity)`` pairs.  Sums, negation, scalar products and
     quotients by an int or `Fraction`, ``==`` (a scalar is the constant
-    polynomial) and the one bilinear product live here.  Only the public
-    constructor validates; every arithmetic result is built by :meth:`_new`
-    from a fresh dict that is already canonical.  Polynomials of two
-    different subclasses do not mix: their sums and products raise
-    ``TypeError``.
+    polynomial) and the one bilinear product live here.  A polynomial holds
+    its terms and nothing else.  Only the public constructor validates;
+    every arithmetic result is built by :meth:`_from_terms` from a fresh
+    dict that is already canonical, shared with no operand or memo.
+    Polynomials of two different subclasses do not mix: their sums and
+    products raise ``TypeError``.
     """
 
     __slots__ = ("terms",)
@@ -150,10 +151,6 @@ class SparsePoly:
         self.terms = terms
         return self
 
-    def _new(self, terms: dict) -> "SparsePoly":
-        """A polynomial of this one's kind from canonical ``terms``."""
-        return self._from_terms(terms)
-
     def _peer(self, other) -> bool:
         return type(other) is type(self)
 
@@ -173,15 +170,15 @@ class SparsePoly:
                     out[m] = s
                 else:
                     del out[m]
-            return self._new(out)
+            return self._from_terms(out)
         if isinstance(other, (int, Fraction)):
-            return self + self._new({self.UNIT: other} if other else {})
+            return self + self._from_terms({self.UNIT: other} if other else {})
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._new({m: -c for m, c in self.terms.items()})
+        return self._from_terms({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if self._peer(other) or isinstance(other, (int, Fraction)):
@@ -202,10 +199,10 @@ class SparsePoly:
                     c = c1 * c2
                     for m, k in mul(m1, m2):
                         out[m] = out.get(m, 0) + (c if k == 1 else c * k)
-            return self._new({m: c for m, c in out.items() if c})
+            return self._from_terms({m: c for m, c in out.items() if c})
         if isinstance(other, (int, Fraction)):
-            return self._new({m: _integral(c * other) for m, c in self.terms.items()}
-                             if other else {})
+            return self._from_terms({m: _integral(c * other) for m, c in self.terms.items()}
+                                    if other else {})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -430,8 +427,9 @@ class Series:
     ``order`` is the highest retained power; higher coefficients are
     unknown, not zero.  Coefficients live in ``ring``; ints and `Fraction`s
     passed as coefficients are embedded via ``ring.one``.  Over
-    :data:`RATIONALS` the coefficients are held as integer numerators over
-    one denominator (see the module docstring); ``coeffs`` still reads as
+    :data:`RATIONALS` every coefficient must be an int or `Fraction`
+    (``TypeError`` otherwise), held as integer numerators over one
+    denominator (see the module docstring); ``coeffs`` still reads as
     `Fraction`s.
 
     >>> x = Series([0, 1, 0, 0])
@@ -449,7 +447,10 @@ class Series:
         if not coeffs:
             raise ValueError("a series needs at least its constant coefficient")
         self._nums = self._den = self._coeffs = None
-        if ring is RATIONALS and all(isinstance(c, (int, Fraction)) for c in coeffs):
+        if ring is RATIONALS:
+            if not all([isinstance(c, (int, Fraction)) for c in coeffs]):
+                raise TypeError("exact arithmetic only: a series over the rationals takes "
+                                "int or Fraction coefficients")
             den = lcm(*[c.denominator for c in coeffs])
             # over the lcm of reduced denominators the numerators share no factor with it
             self._nums = tuple([c.numerator * (den // c.denominator) for c in coeffs])
@@ -499,10 +500,10 @@ class Series:
         return self._len - 1
 
     def __getitem__(self, i: int):
-        coeffs = self.coeffs
-        if not 0 <= i < len(coeffs):
+        if not 0 <= i < self._len:
             raise IndexError(f"coefficient {i} outside truncation order {self.order}")
-        return coeffs[i]
+        # a series in integer form reads one coefficient without building them all
+        return self._coeffs[i] if self._nums is None else Fraction(self._nums[i], self._den)
 
     def __len__(self):
         return self._len
@@ -748,8 +749,11 @@ class Series:
 
     # -- display -------------------------------------------------------
 
-    def poly_str(self, var: str = "q") -> str:
-        """Readable polynomial rendering, omitting zero terms."""
+    def __repr__(self):
+        return f"Series({list(self.coeffs)!r})"
+
+    def __str__(self):
+        """Readable polynomial rendering in x, omitting zero terms."""
         parts = []
         for i, c in enumerate(self.coeffs):
             if c == self.ring.zero:
@@ -759,18 +763,12 @@ class Series:
             if i == 0:
                 parts.append(wrap)
             elif wrap == "1":
-                parts.append(var if i == 1 else f"{var}^{i}")
+                parts.append("x" if i == 1 else f"x^{i}")
             else:
-                parts.append(f"{wrap}*{var}" if i == 1 else f"{wrap}*{var}^{i}")
+                parts.append(f"{wrap}*x" if i == 1 else f"{wrap}*x^{i}")
         if not parts:
             return "0"
         return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self):
-        return f"Series({list(self.coeffs)!r})"
-
-    def __str__(self):
-        return self.poly_str("x")
 
 
 def series_ring(coeff_ring: CoeffRing, order: int) -> CoeffRing:

@@ -235,12 +235,12 @@ class TestNumericCommand:
         assert payload["rel_error"] <= 1e-3
 
     def test_limit_near_q_one(self, capsys):
-        # the nearest point, q = 1 - 2^-20, walks the 5M-term cap
+        # the nearest point, q = 1 - 2^-19, walks the 5M-term cap
         code, out, _ = run(capsys, "numeric", "--check", "limit", "--r", "2",
-                           "--grid-k", "4..20", "--format", "json")
+                           "--grid-k", "4..19", "--format", "json")
         assert code == 0
         payload = json.loads(out)["payload"]
-        assert len(payload["grid"]) == 17
+        assert len(payload["grid"]) == 16
         assert payload["rel_error"] <= 1e-6
 
     def test_limit_bad_grid(self, capsys):

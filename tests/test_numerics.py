@@ -377,15 +377,26 @@ class TestEvalMacmahonChunked:
     def test_capped_path_still_raises(self):
         with pytest.raises(NonConvergenceError, match="term cap 1000"):
             _eval_macmahon(2, 1 - 2.0**-10, False, 1000)
-        # capped but with a negligible next term: a value, marked unconverged
+        # capped but with a negligible tail: a value, marked unconverged
         assert self.check(1, 1 - 2.0**-8, True, max_terms=10_000) == 5000
 
+    def test_capped_guard_bounds_the_truncation_error(self):
+        # capped at M = 5M sizes, A_1 misses at most T = q^(M+1)/((1-q)(1-q^(M+1))^2),
+        # below 1e-9 of its value at q = 1 - 2^-18 and 1 - 2^-19
+        for k in (18, 19):
+            value = eval_qseries_at("A", 1, 1 - 2.0**-k)
+            assert (value.terms, value.converged) == (5_000_000, False)
+        # A_2 at q = 1 - 2^-20 may miss up to T times the full A_1, above
+        # 1e-9 of its value (the capped sum is about 1.7e-8 too small)
+        with pytest.raises(NonConvergenceError, match="term cap 5000000"):
+            eval_qseries_at("A", 2, 1 - 2.0**-20)
+
     def test_memory_is_bounded_by_the_chunk(self):
-        # q = 1 - 2^-20 walks the whole 5M-term cap; one float64 array of
+        # q = 1 - 2^-19 walks the whole 5M-term cap; one float64 array of
         # every term would be 40 MB
         tracemalloc.start()
         try:
-            value = eval_qseries_at("A", 2, 1 - 2.0**-20)
+            value = eval_qseries_at("A", 2, 1 - 2.0**-19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -476,7 +487,7 @@ class TestRichardson:
         # y(h) = 3 - 2h + 5h^2 must extrapolate exactly with two levels
         hs = [2.0**-k for k in range(3, 8)]
         ys = [3 - 2 * h + 5 * h * h for h in hs]
-        assert abs(richardson(ys, hs, levels=2) - 3) < 1e-12
+        assert abs(richardson(ys, hs) - 3) < 1e-12
 
     def test_validation(self):
         with pytest.raises(ValueError):

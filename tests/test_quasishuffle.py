@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from macmahon.quasishuffle import HARMONIC, QuasiShuffleAlgebra
+from macmahon.quasishuffle import HARMONIC
 
 
 def rand_word(rng, max_len=4, max_letter=5, min_len=0):
@@ -76,17 +76,12 @@ class TestProduct:
 
 class TestPowers:
     def test_star_square(self):
-        assert HARMONIC.star_power(2, 2) == HARMONIC.product((2,), (2,))
-
-    def test_star_one(self):
-        assert HARMONIC.star_power(2, 1) == HARMONIC.word(2)
+        w = HARMONIC.word(2)
+        assert w * w == HARMONIC.product((2,), (2,))
 
     def test_star_cube_leading_coefficient(self):
-        assert HARMONIC.star_power(2, 3).terms[(2, 2, 2)] == 6
-
-    def test_diamond_power(self):
-        assert HARMONIC.diamond_power(2, 3) == 6
-        assert HARMONIC.diamond_power(3, 1) == 3
+        w = HARMONIC.word(2)
+        assert (w * w * w).terms[(2, 2, 2)] == 6
 
 
 class TestExpIdentity:
@@ -106,27 +101,6 @@ class TestExpIdentity:
     def test_validation(self):
         with pytest.raises(ValueError):
             HARMONIC.exp_identity_check(2, 0)
-
-
-class TestCustomDiamond:
-    def test_max_diamond_works(self):
-        alg = QuasiShuffleAlgebra(lambda a, b: max(a, b))
-        out = alg.product((1,), (2,))
-        assert out == alg.combo({(1, 2): 1, (2, 1): 1, (2,): 1})
-        assert alg.exp_identity_check(2, 4) is None
-
-    def test_non_associative_diamond_rejected(self):
-        with pytest.raises(ValueError):
-            QuasiShuffleAlgebra(lambda a, b: a * b + 1)
-
-    def test_non_commutative_diamond_rejected(self):
-        with pytest.raises(ValueError):
-            QuasiShuffleAlgebra(lambda a, b: a + 2 * b)
-
-    def test_algebras_do_not_mix(self):
-        other = QuasiShuffleAlgebra(lambda a, b: max(a, b))
-        with pytest.raises(ValueError):
-            HARMONIC.word(2) * other.word(2)
 
 
 class TestComboArithmetic:

@@ -20,7 +20,7 @@ from macmahon.series import (
 )
 from macmahon.identities import GENPOLYS, GeneratorPoly
 from macmahon.qseries import eisenstein, eisenstein_odd
-from macmahon.quasishuffle import HARMONIC, QuasiShuffleAlgebra
+from macmahon.quasishuffle import HARMONIC
 
 from lambda_poly import LAMBDAS, LambdaPoly
 
@@ -222,6 +222,22 @@ class TestStructure:
         with pytest.raises(TypeError):
             Series([1, 0]) * 0.5
 
+    def test_rationals_take_only_ints_and_fractions(self):
+        # a series over the rationals always has its integer form
+        for bad in (LambdaPoly({1: 2}), HARMONIC.word(2), eisenstein(2, 3), "1", None):
+            with pytest.raises(TypeError):
+                Series([bad])
+            with pytest.raises(TypeError):
+                Series([0, bad])
+        assert Series([LambdaPoly({1: 2})], LAMBDAS)[0] == LambdaPoly({1: 2})
+
+    def test_getitem_reads_one_coefficient(self):
+        f = Series([F(1, 2), 3, F(-4, 6)])
+        values = [f[i] for i in range(3)]
+        assert values == [F(1, 2), F(3), F(-2, 3)] and all(type(c) is F for c in values)
+        assert f._coeffs is None  # no tuple of every coefficient was built
+        assert list(f.coeffs) == values == [f[i] for i in range(3)]
+
     def test_pow(self):
         f = Series([1, 1, 0, 0])
         assert f**0 == Series.constant(F(1), 3)
@@ -320,10 +336,6 @@ class TestSparsePoly:
                 for op in (operator.add, operator.sub, operator.mul, operator.truediv):
                     with pytest.raises(TypeError):
                         op(x, y)
-        other = QuasiShuffleAlgebra(max)
-        for op in (operator.add, operator.sub, operator.mul):
-            with pytest.raises(ValueError):
-                op(HARMONIC.word(2), other.word(2))
 
     @pytest.mark.parametrize("make, mon", KINDS)
     def test_integral_scalar_products_are_ints(self, make, mon):
@@ -337,22 +349,20 @@ class TestSparsePoly:
         assert c == F(9, 2) and type(c) is F
 
     def test_quasi_shuffle_exp_runs_on_ints(self):
-        algebra = QuasiShuffleAlgebra()
-        z = [algebra.ring.zero] + [algebra.word(2 * k) * F(1 if k % 2 else -1, k)
-                                   for k in range(1, 7)]
-        b = Series(z, algebra.ring).exp()
+        z = [HARMONIC.ring.zero] + [HARMONIC.word(2 * k) * F(1 if k % 2 else -1, k)
+                                    for k in range(1, 7)]
+        b = Series(z, HARMONIC.ring).exp()
         for n in range(7):
-            assert b[n] == algebra.combo({(2,) * n: 1})
+            assert b[n] == HARMONIC.combo({(2,) * n: 1})
             assert all(type(c) is int for c in b[n].terms.values())
         # a series over the rationals still reads as Fractions
         assert all(type(c) is F for c in Series([1, 2, F(4, 2)]).coeffs)
 
     def test_products_own_their_terms(self):
-        algebra = QuasiShuffleAlgebra()
-        x = algebra.product((2,), (3, 1))
-        cached = algebra._cache[((2,), (3, 1))]
+        x = HARMONIC.product((2,), (3, 1))
+        cached = HARMONIC._cache[((2,), (3, 1))]
         assert x.terms == cached and x.terms is not cached
-        assert algebra.product((), (2,)).terms is not algebra.product((), (2,)).terms
+        assert HARMONIC.product((), (2,)).terms is not HARMONIC.product((), (2,)).terms
 
 
 def reference_pack(nums, width):
@@ -682,11 +692,10 @@ class TestExpRecurrence:
         assert f.exp() == taylor_exp(f)
 
     def test_word_combos(self):
-        algebra = QuasiShuffleAlgebra()
-        w = algebra.word
-        coeffs = [algebra.ring.zero, w(2), w(4) * F(-1, 2), w(2, 3) + w(1) * 3,
-                  algebra.ring.zero, w(5) * F(1, 7)]
-        f = Series(coeffs, algebra.ring)
+        w = HARMONIC.word
+        coeffs = [HARMONIC.ring.zero, w(2), w(4) * F(-1, 2), w(2, 3) + w(1) * 3,
+                  HARMONIC.ring.zero, w(5) * F(1, 7)]
+        f = Series(coeffs, HARMONIC.ring)
         assert f.exp() == taylor_exp(f)
 
     def test_sparse_argument(self):

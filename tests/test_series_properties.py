@@ -5,13 +5,13 @@ import pytest
 pytest.importorskip("hypothesis")
 
 from fractions import Fraction as F  # noqa: E402
-from math import gcd  # noqa: E402
+from math import comb, gcd  # noqa: E402
 
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from macmahon.identities import GeneratorPoly, _scale_by_rationals  # noqa: E402
-from macmahon.quasishuffle import QuasiShuffleAlgebra  # noqa: E402
+from macmahon.quasishuffle import HARMONIC  # noqa: E402
 from lambda_poly import LAMBDAS, LambdaPoly  # noqa: E402
 from macmahon.series import RATIONALS, Series, series_ring  # noqa: E402
 
@@ -268,7 +268,6 @@ def test_lambda_rows_match_lambda_polys(a, b, c):
 
 poly_coeffs = st.one_of(st.just(0), st.integers(-9, 9),
                         st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
-WORDS = QuasiShuffleAlgebra()  # harmonic, with a cache of its own
 
 
 def polys(monomials, make, terms=4):
@@ -318,7 +317,32 @@ def test_generator_polys_form_a_ring(x, y, z, s):
 
 
 @PROPERTY
-@given(*[polys(st.lists(st.integers(1, 4), max_size=3).map(tuple), WORDS.combo, 3)] * 3,
+@given(*[polys(st.lists(st.integers(1, 4), max_size=3).map(tuple), HARMONIC.combo, 3)] * 3,
        poly_coeffs)
 def test_word_combos_form_a_ring(x, y, z, s):
-    check_ring_laws(x, y, z, s, lambda c: WORDS.combo({(): c}))
+    check_ring_laws(x, y, z, s, lambda c: HARMONIC.combo({(): c}))
+
+
+# -- the harmonic product of two words -----------------------------------------
+#
+# A term of u * v is a lattice path from (0, 0) to (|u|, |v|) with the steps
+# (1, 0), (0, 1) and (1, 1): take the next letter of u, of v, or of both
+# contracted to z_{a+b}.  So the multiplicities are positive and sum to the
+# number of Delannoy paths, D(|u|, |v|) = sum_k C(|u|, k) C(|v|, k) 2^k, and a
+# path with k contractions is a word of |u| + |v| - k letters that has the
+# weight (letter sum) of u and v together.
+
+words = st.lists(st.integers(1, 6), max_size=5).map(tuple)
+
+
+@PROPERTY
+@given(words, words)
+def test_harmonic_product_counts_delannoy_paths(u, v):
+    m, n = len(u), len(v)
+    terms = HARMONIC.product(u, v).terms
+    assert all(type(c) is int and c > 0 for c in terms.values())
+    delannoy = sum(comb(m, k) * comb(n, k) * 2**k for k in range(min(m, n) + 1))
+    assert sum(terms.values()) == delannoy
+    for word in terms:
+        assert sum(word) == sum(u) + sum(v)
+        assert max(m, n) <= len(word) <= m + n
