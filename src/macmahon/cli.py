@@ -179,16 +179,15 @@ def _cmd_verify(args) -> int:
 # express
 # ---------------------------------------------------------------------------
 
-_GEN_NAME = re.compile(r"^Go?(\d+)$")
+# names and indices are written without leading zeros, so each has one spelling
+_GEN_NAME = re.compile(r"Go?([1-9]\d*)")
 
 
 def _cmd_express(args) -> int:
-    m = re.match(r"^([AC]):(\d+)$", args.target)
+    m = re.fullmatch(r"([AC]):([1-9]\d*)", args.target)
     if not m:
         raise UsageError(f"cannot parse target {args.target!r}; expected A:r or C:r")
     side, r = m.group(1), int(m.group(2))
-    if r < 1:
-        raise UsageError("target index r must be >= 1")
     weight_bound = 2 * r if args.weight_bound is None else args.weight_bound
     if weight_bound < 0:
         raise UsageError("--weight-bound must be >= 0")
@@ -200,14 +199,15 @@ def _cmd_express(args) -> int:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
         if not names:
             raise UsageError("no generators given")
-        weights = [int(m.group(1)) if (m := _GEN_NAME.match(n)) else 0 for n in names]
+        weights = [int(m.group(1)) if (m := _GEN_NAME.fullmatch(n)) else 0 for n in names]
         if any(w < 2 for w in weights):
             raise UsageError("generators must look like G2, G4, Go2, ...")
         odd = next((n for n, w in zip(names, weights) if w % 2), None)
         if odd:
             raise UsageError(f"generator {odd!r} needs an even weight >= 2")
 
-    _, min_order = _candidate_monomials(weights, weight_bound)
+    # a --q-order below the solve window is refused before any series is built
+    _, min_order = _candidate_monomials(weights, weight_bound, args.q_order)
     q_order = max(30, min_order) if args.q_order is None else args.q_order
     full_order = 2 * q_order
 

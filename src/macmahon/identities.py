@@ -99,13 +99,18 @@ class GeneratorPoly(SparsePoly):
         return cls({(name,): 1})
 
     def evaluate(self, values: dict, one):
-        """Substitute ring elements for the generators; ``one`` is the target ring unit."""
+        """Substitute ring elements for the generators; ``one`` is the target ring unit.
+
+        Each distinct prefix of the sorted monomials is one product, so
+        monomials that share factors (G2^2*G4 and G2^2*G6) share them.
+        """
         total = one * Fraction(0)
+        products = {(): one}
         for mon, c in self.terms.items():
-            term = one * c
-            for name in mon:
-                term = term * values[name]
-            total = total + term
+            for k in range(1, len(mon) + 1):
+                if mon[:k] not in products:
+                    products[mon[:k]] = products[mon[:k - 1]] * values[mon[k - 1]]
+            total = total + products[mon] * c
         return total
 
     def __str__(self):
@@ -362,12 +367,14 @@ class Representation:
 _SOLVE_MARGIN = 10  # solve-window coefficients beyond one per candidate monomial
 
 
-def _candidate_monomials(weights: Sequence[int], bound: int) -> tuple:
+def _candidate_monomials(weights: Sequence[int], bound: int,
+                         q_order: Optional[int] = None) -> tuple:
     """The candidate monomials of :func:`express_in_generators` and its least q_order.
 
     The candidates are the exponent vectors with sum of weights <= bound,
     graded-lex ordered; the solve window needs one q-coefficient per
-    candidate plus ``_SOLVE_MARGIN``.
+    candidate plus ``_SOLVE_MARGIN``.  A ``q_order`` below that raises
+    ``ValueError``.
     """
     out = []
 
@@ -384,6 +391,9 @@ def _candidate_monomials(weights: Sequence[int], bound: int) -> tuple:
     rec(0, [], 0)
     out.sort(key=lambda exps: (sum(e * w for e, w in zip(exps, weights)),
                                tuple([-e for e in exps])))
+    if q_order is not None and q_order < len(out) + _SOLVE_MARGIN:
+        raise ValueError(f"q_order must be >= number of candidate monomials + {_SOLVE_MARGIN} "
+                         f"({len(out)} + {_SOLVE_MARGIN})")
     return out, len(out) + _SOLVE_MARGIN
 
 
@@ -456,14 +466,17 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
 
     ``generators`` is a sequence of (name, weight, series) triples.  All
     monomials of total weight <= ``weight_bound`` are candidates; the exact
-    linear system matches coefficients q^0..q^{q_order} and the resulting
-    representation is re-verified on the fresh window up to 2*q_order, so
-    the supplied series must carry at least order 2*q_order.
+    linear system matches coefficients q^0..q^{q_order}.  The returned
+    polynomial is then expanded at the generator series, in integers, and
+    its q-expansion must equal ``target`` on every q^0..q^{2*q_order}
+    (``verify_order``), so the supplied series must carry at least order
+    2*q_order.
 
     Raises :class:`NoRepresentationError` when the system is inconsistent
-    (or when a low-order solution fails re-verification).  A positive
-    dimensional solution space is reported via ``underdetermined``; one
-    solution (free variables zero) is still returned.
+    or when the expansion differs from ``target`` anywhere in that window
+    (the message names the first differing q^n).  A positive dimensional
+    solution space is reported via ``underdetermined``; one solution (free
+    variables zero) is still returned.
     """
     gens = [(str(n), int(w), s) for n, w, s in generators]
     if len({n for n, _, _ in gens}) != len(gens):
@@ -475,18 +488,16 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
         raise ValueError(f"target and generator series need order >= {verify_order} "
                          "(solve window plus re-verification window)")
 
-    exps_list, min_order = _candidate_monomials([w for _, w, _ in gens], weight_bound)
-    if q_order < min_order:
-        raise ValueError(f"q_order must be >= number of candidate monomials + {_SOLVE_MARGIN} "
-                         f"({len(exps_list)} + {_SOLVE_MARGIN})")
+    exps_list, _ = _candidate_monomials([w for _, w, _ in gens], weight_bound, q_order)
 
-    powers = []
     one = Series.constant(Fraction(1), verify_order)
-    for _, _, s in gens:
+    values = {name: s.truncate(verify_order) for name, _, s in gens}
+    powers = []
+    for name, _, _ in gens:
         pw = [one]
         emax = max(e[len(powers)] for e in exps_list)
         for _ in range(emax):
-            pw.append(pw[-1] * s.truncate(verify_order))
+            pw.append(pw[-1] * values[name])
         powers.append(pw)
     expansions = []
     for exps in exps_list:
@@ -498,25 +509,13 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
 
     matrix = [[exp[n] for exp in expansions] + [target[n]] for n in range(q_order + 1)]
     solution, underdetermined = _solve_exact(matrix)
-
-    for n in range(q_order + 1, verify_order + 1):
-        acc = Fraction(0)
-        for c, exp in zip(solution, expansions):
-            if c:
-                acc += c * exp[n]
-        if acc != target[n]:
-            raise NoRepresentationError(
-                f"candidate representation fails re-verification at q^{n}")
-
-    terms = {}
-    for c, exps in zip(solution, exps_list):
-        if c:
-            mon = []
-            for (name, _, _), e in zip(gens, exps):
-                mon.extend([name] * e)
-            terms[tuple(mon)] = c
-    return Representation(GeneratorPoly(terms), underdetermined, len(exps_list),
-                          q_order, verify_order)
+    poly = GeneratorPoly({tuple([n for (n, _, _), e in zip(gens, exps) for _ in range(e)]): c
+                          for c, exps in zip(solution, exps_list) if c})
+    got, want = poly.evaluate(values, one), target.truncate(verify_order)
+    if got != want:
+        n = next(n for n in range(verify_order + 1) if got[n] != want[n])
+        raise NoRepresentationError(f"candidate representation fails re-verification at q^{n}")
+    return Representation(poly, underdetermined, len(exps_list), q_order, verify_order)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import macmahon
 from macmahon import cli
 from macmahon.cli import main
 from macmahon.qseries import RouteMismatchError
+from macmahon.series import Series
 
 
 def run(capsys, *argv):
@@ -173,6 +174,50 @@ class TestExpressCommand:
         assert run(capsys, "express", "--target", "A:0")[0] == 1
         assert run(capsys, "express", "--target", "A:1",
                    "--generators", "H5")[0] == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("at", [33, 60])
+    def test_doctored_target_fails_where_it_was_doctored(self, capsys, monkeypatch, fmt, at):
+        # the default q_order is 30: q^33 lies past the solve window, q^60 is the last row checked
+        exact = cli.macmahon_a
+
+        def doctored(r, order):
+            coeffs = list(exact(r, order).coeffs)
+            coeffs[at] += 1
+            return Series(coeffs)
+
+        monkeypatch.setattr(cli, "macmahon_a", doctored)
+        code, out, err = run(capsys, "express", "--target", "A:2", "--format", fmt)
+        assert (code, err) == (2, "")
+        reason = f"candidate representation fails re-verification at q^{at}"
+        if fmt == "json":
+            assert json.loads(out)["payload"]["reason"] == reason
+        else:
+            assert out == f"no representation of A:2 at weight bound 4: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("--target", "A:02"),
+        ("--target", "C:007"),
+        ("--target", "A:2", "--generators", "G2,G02,G4"),
+        ("--target", "C:2", "--generators", "Go02"),
+        ("--target", "C:2", "--generators", "Go2,Go04"),
+    ])
+    def test_names_with_leading_zeros_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, "express", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(("error: cannot parse target", "error: generators must look like"))
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("q_order", ["-100", "-1", "0", "16"])
+    def test_short_q_order_is_refused_before_any_series(self, capsys, monkeypatch, q_order):
+        def no_series(*args):
+            raise AssertionError("a series was built")
+
+        for name in ("eisenstein", "eisenstein_odd", "macmahon_a", "macmahon_c"):
+            monkeypatch.setattr(cli, name, no_series)
+        code, out, err = run(capsys, "express", "--target", "A:3", "--q-order", q_order)
+        assert (code, out) == (1, "")
+        assert err == "error: q_order must be >= number of candidate monomials + 10 (7 + 10)\n"
 
 
 class TestNumericCommand:

@@ -1,6 +1,7 @@
 """Tests for the identity verifiers, the extractor, and the exact solver."""
 
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -22,6 +23,7 @@ from macmahon.identities import (
     express_in_generators,
     extract_polynomials,
     format_generator_poly,
+    generator_names,
     lemma_combinatorial_check,
     verify_exp_quasi_shuffle,
     verify_geng22,
@@ -451,6 +453,58 @@ class TestExpressInGenerators:
                 ("G6", 6, eisenstein(6, 100))]
         rep = express_in_generators(macmahon_a(3, 100), gens, 6, 50)
         assert rep.poly == extract_polynomials("A", 3)[2]
+
+
+@functools.cache
+def express_inputs(side, r):
+    """The CLI's auto generators, target and least q_order for side:r at weight bound 2r."""
+    names = generator_names(side, r)
+    candidates, q_order = identities._candidate_monomials([w for _, w in names], 2 * r)
+    gen = eisenstein if side == "A" else eisenstein_odd
+    gens = [(n, w, gen(w, 2 * q_order)) for n, w in names]
+    target = (macmahon_a if side == "A" else macmahon_c)(r, 2 * q_order)
+    return gens, target, candidates, q_order
+
+
+def monomial_expansion(gens, exps, order):
+    """The q-expansion of one monomial to ``order``, by Fraction convolutions."""
+    acc = [F(1)] + [F(0)] * order
+    for (_, _, s), e in zip(gens, exps):
+        g = s.coeffs[: order + 1]
+        for _ in range(e):
+            acc = [sum((acc[i] * g[k - i] for i in range(k + 1)), F(0)) for k in range(order + 1)]
+    return acc
+
+
+class TestExpressCheck:
+    """The returned polynomial is checked exactly on every q^0..q^(2 q_order)."""
+
+    def test_moved_coefficient_fails_at_its_first_power(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        solve = identities._solve_exact
+
+        @hypothesis.settings(derandomize=True, database=None, max_examples=60, deadline=None)
+        @hypothesis.given(st.sampled_from("AC"), st.integers(1, 3), st.data(),
+                          st.fractions(max_denominator=10**6).filter(bool))
+        def check(side, r, data, delta):
+            gens, target, candidates, q_order = express_inputs(side, r)
+            i = data.draw(st.integers(0, len(candidates) - 1), label="moved monomial")
+
+            def moved(matrix):
+                x, free = solve(matrix)
+                return x[:i] + [x[i] + delta] + x[i + 1:], free
+
+            expansion = monomial_expansion(gens, candidates[i], 2 * q_order)
+            n = next(n for n, c in enumerate(expansion) if delta * c)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(identities, "_solve_exact", moved)
+                with pytest.raises(NoRepresentationError,
+                                   match=rf"^candidate representation fails re-verification "
+                                         rf"at q\^{n}$"):
+                    express_in_generators(target, gens, 2 * r, q_order)
+
+        check()
 
 
 class TestExactSolver:
