@@ -34,7 +34,10 @@ weight (tau + n)^(-k) is a product of k factors 1/(tau + n) from one
 reciprocal (``_lattice_weights``), and q^m is one scalar power of q per
 run of sizes times a table of powers built once per call
 (``_size_powers``).  Each weight depends on its point alone, so every sum
-is bit for bit the same however the points are blocked.
+is bit for bit the same however the points are blocked.  The blocks live
+in one workspace per thread, allocated on first use and reused by every
+later call, so a warm call allocates nothing block-sized and faults no
+page in; it holds about 1.9 MB, one depth >= 2 lattice pass's worth.
 
 numpy is imported on first use, so the exact layers and the CLI commands
 that need no numerics do not pay its import time and memory.
@@ -46,6 +49,7 @@ import cmath
 import functools
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -122,23 +126,54 @@ _MAX_TERMS = 5_000_000
 _RUN = 1 << 12
 
 
+# the weights of _ordered_sums get this many free rows of the workspace
+_FREE = 3
+
+# this thread's workspace: ``mem``, float64 words, and the _CHUNK it was made for
+_workspace = threading.local()
+
+
+def _workspace_rows(dtype, count: int) -> tuple:
+    """This thread's float64 point block and ``count`` ``dtype`` rows, each _CHUNK + 1 long.
+
+    All are views of one float64 array per thread, made on first use and
+    made again only for a new _CHUNK or a call that needs more rows, so
+    float64 and complex128 rows share their bytes.  They hold whatever the
+    last call left; every caller writes an element before it reads it.
+    """
+    import numpy as np
+
+    n = _CHUNK + 1
+    words = np.dtype(dtype).itemsize // 8
+    need = n * (1 + count * words)
+    mem = getattr(_workspace, "mem", None)
+    if mem is None or len(mem) < need or _workspace.chunk != _CHUNK:
+        _workspace.mem = None  # free the old array before the new one is made
+        mem = _workspace.mem = np.empty(need)
+        _workspace.chunk = _CHUNK
+    return mem[:n], list(mem[n:need].view(dtype).reshape(count, n))
+
+
 def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = ()) -> list:
     """Level-i sums over points p_0 > ... > p_i of prod_j w_j(p_j), for i < depth.
 
     The points, a descending range, go in blocks of ``_CHUNK``, and
-    ``weights(block, out)`` yields a block's ``depth`` weight arrays, level
-    by level; ``out`` is a free ``dtype`` buffer of the block's length, and
-    every level may yield the same array.  These sums are the raw chain;
-    each seed adds a chain whose level-0 partial sums are the raw ones plus
-    the seed.  Returns the level totals of every chain, raw first, as
-    ``dtype`` scalars.
+    ``weights(block, free)`` yields a block's ``depth`` weight arrays, level
+    by level; ``free`` is a list of ``_FREE`` ``dtype`` buffers of the
+    block's length for it to write, and every level may yield the same
+    array.  These sums are the raw chain; each seed adds a chain whose
+    level-0 partial sums are the raw ones plus the seed.  Returns the level
+    totals of every chain, raw first, as ``dtype`` scalars.
 
     Each level carries its total from block to block and seeds it into the
     first element of the block's cumulative sum, so every float addition
-    happens in the order of one cumulative sum over all the points, and
-    memory is O(_CHUNK) whatever their number.  A float overflow, division
-    by zero or invalid value raises ``FloatingPointError`` instead of
-    warning and going on with inf or nan.
+    happens in the order of one cumulative sum over all the points.  The
+    block, the weights' buffers and the cumulative-sum rows are this
+    thread's workspace (``_workspace_rows``), allocated once: memory is
+    O(_CHUNK) whatever the number of points, a warm call allocates none of
+    it, and about 1.9 MB stays held between calls.  A float overflow,
+    division by zero or invalid value raises ``FloatingPointError`` instead
+    of warning and going on with inf or nan.
     """
     import numpy as np
 
@@ -146,22 +181,25 @@ def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = (
     chains = 1 + len(seeds)
     # tot[c][i]: chain c's level-i sum over the blocks done
     tot = [[dtype()] * depth for _ in range(chains)]
+    # pre[c][j]: chain c's sums at the current level over the points before
+    # point j (pre[c][0] the carried total), which weight the next level; it
+    # writes its own into spare, then the two swap.  Products get their own
+    # output: numpy rounds an in-place one-element complex product
+    # differently.  Level 0 alone needs only the raw row
+    block, rows = _workspace_rows(dtype, _FREE + (2 * chains if depth > 1 else 1))
+    free, rows = rows[:_FREE], rows[_FREE:]
+    pre, spare = rows[:chains], rows[chains:]
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        block = np.arange(points.start, points.start + size * points.step, points.step,
-                          dtype=np.float64)
-        work = np.empty(size, dtype=dtype)
-        # pre[c][j]: chain c's sums at the current level over the points
-        # before point j (pre[c][0] the carried total), which weight the next
-        # level; it writes its own into spare, then the two swap.  Products
-        # get their own output: numpy rounds an in-place one-element complex
-        # product differently.  Level 0 alone needs only the raw row
-        rows = [np.empty(size + 1, dtype=dtype) for _ in range(2 * chains if depth > 1 else 1)]
-        pre, spare = rows[:chains], rows[chains:]
+        # the first block's points, exact integer partial sums
+        block = block[:size]
+        block.fill(points.step)
+        block[0] = points.start
+        np.add.accumulate(block, out=block)
         for start in range(0, len(points), size):
             m = min(size, len(points) - start)
             if start:
                 np.add(block, size * points.step, out=block)
-            for i, w in enumerate(weights(block[:m], work[:m])):
+            for i, w in enumerate(weights(block[:m], [buf[:m] for buf in free])):
                 if i == 0:
                     # w may be the next level's weights too: restore w[0]
                     first = w[0]
@@ -183,28 +221,32 @@ def _ordered_sums(weights, depth: int, points: range, dtype, seeds: Sequence = (
     return [[dtype(t) for t in sums] for sums in tot]
 
 
-def _lattice_weights(ks: Sequence[int], tau: complex, size: int):
-    """The ``weights`` of ``_ordered_sums`` for (tau + n)^(-k_i) at level i, blocks <= ``size``.
+def _lattice_weights(ks: Sequence[int], tau: complex):
+    """The ``weights`` of ``_ordered_sums`` for (tau + n)^(-k_i) at level i.
 
     Each block takes one reciprocal r = 1/(tau + n), and (tau + n)^(-k) is
     the product r * r * ... * r of k factors, left to right, so a weight
     depends on n and k alone and no intermediate exceeds the weight's own
-    size as (tau + n)^k would.  Every product goes into a buffer apart from
-    its inputs (see ``_ordered_sums``).  A level with the previous level's
-    exponent reuses its weights.
+    size as (tau + n)^k would.  A level whose exponent grows goes on from
+    the previous level's product, one that keeps it reuses that product,
+    and one whose exponent falls starts again from r.  Every product goes
+    into a buffer apart from its inputs (see ``_ordered_sums``).
     """
     import numpy as np
 
-    inv_buf, spare = np.empty(size, dtype=complex), np.empty(size, dtype=complex)
-
-    def levels(ns, out):
-        inv = np.reciprocal(np.add(ns, tau, out=out), out=inv_buf[:len(ns)])
-        bufs = (out, spare[:len(ns)])
-        for i, k in enumerate(ks):
-            if not i or k != ks[i - 1]:
-                w = inv
-                for j in range(k - 1):
-                    w = np.multiply(w, inv, out=bufs[j % 2])
+    def levels(ns, free):
+        # n + 0j first: np.add(ns, tau) would cast ns through a fresh 128 KB buffer
+        np.copyto(free[0], ns)
+        inv = np.reciprocal(np.add(free[0], tau, out=free[0]), out=free[1])
+        outs = (free[0], free[2])
+        w, power = inv, 1
+        for k in ks:
+            if k < power:
+                w, power = inv, 1
+            # the product of j + 1 factors goes into the buffer w is not in
+            for j in range(power, k):
+                w = np.multiply(w, inv, out=outs[j % 2])
+            power = k
             yield w
 
     return levels
@@ -226,7 +268,7 @@ def _tangent_engine(ks: Sequence[int], tau: complex, cutoff: int) -> tuple:
     # only the innermost level has an upper seed, the others' are
     # O(cutoff^-(k_i + k_(i-1) - 1)) and folded into neglected_bound
     upper = _em_tail(ks[0], tau, cutoff + 1, +1)
-    levels = _lattice_weights(ks, tau, min(_CHUNK, len(points)))
+    levels = _lattice_weights(ks, tau)
     raw, cor = _ordered_sums(levels, len(ks), points, complex, (upper,))
     psi, corrected = 1.0 + 0j, []
     for k, total in zip(ks, cor):
@@ -305,19 +347,35 @@ def _eulerian(n: int) -> tuple:
     return tuple([float(c) for c in _eulerian_ints(n)])
 
 
-def _power_sum(n: int, x):
+def _power_sum(n: int, x, out=None, tmp=None):
     """sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1), n >= 1, for a scalar or numpy array x.
 
     A_n goes by Horner's rule; for n = 1 this is exactly ``x / (1 - x) ** 2``.
+    Given buffers ``out`` and ``tmp`` of x's length, an array's value goes
+    into ``out`` by the same ufuncs in the same order, in place.
     """
     coeffs = _eulerian(n)
+    if out is None:
+        num = x
+        if n > 1:
+            poly = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                poly = poly * x + c
+            num = x * poly
+        return num / (1 - x) ** (n + 1)
+    import numpy as np
+
     num = x
     if n > 1:
-        poly = coeffs[-1]
-        for c in coeffs[-2::-1]:
-            poly = poly * x + c
-        num = x * poly
-    return num / (1 - x) ** (n + 1)
+        num = np.multiply(x, coeffs[-1], out=tmp)
+        num += coeffs[-2]
+        for c in coeffs[-3::-1]:
+            num *= x
+            num += c
+        num *= x
+    den = np.subtract(1, x, out=out)
+    den **= n + 1
+    return np.divide(num, den, out=den)
 
 
 def lipschitz_value(k: int, tau: complex) -> complex:
@@ -383,8 +441,10 @@ def _size_powers(q: float, step: int, count: int):
     import numpy as np
 
     width = min(_RUN, count)
-    # table[t] = q^(step*j) for j = width - 1 - t: a run's sizes in descending order
-    table = np.power(q, np.arange(step * (width - 1), -1, -step, dtype=np.float64))
+    # table[t] = q^(step*j) for j = width - 1 - t: a run's sizes in descending
+    # order, the powers written over their exponents, so one array is made
+    table = np.arange(step * (width - 1), -1, -step, dtype=np.float64)
+    np.power(q, table, out=table)
 
     def fill(ms, out):
         i, pos = (int(ms[0]) - 1) // step, 0
@@ -416,8 +476,8 @@ def _eval_macmahon(r: int, q: float, odd: bool, max_terms: int, k: int = 2) -> S
     powers = _size_powers(q, step, len(sizes))
 
     # f goes without its 1/(k-1)!, which divides the total once per level
-    def levels(ms, out):
-        return itertools.repeat(_power_sum(k - 1, powers(ms, out)), r)
+    def levels(ms, free):
+        return itertools.repeat(_power_sum(k - 1, powers(ms, free[0]), *free[1:]), r)
 
     fact = math.factorial(k - 1)
     totals = _ordered_sums(levels, r, sizes, float)[0]

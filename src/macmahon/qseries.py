@@ -49,6 +49,11 @@ Andrews and Rose (J. reine angew. Math. 676, 2013):
 with D = q d/dq.  A disagreement raises :class:`RouteMismatchError`, which
 ``python -O`` does not strip.  The enumeration oracles live in
 :mod:`macmahon.oracles`; ``partition_oracle`` is re-exported here.
+
+The library starts no thread, but it may be called from several.  Two
+places depend on that: the Bernoulli cache here, whose appends a lock keeps
+from interleaving, and the numeric kernels' block buffers
+(:mod:`macmahon.numerics`), one workspace per thread.
 """
 
 from __future__ import annotations

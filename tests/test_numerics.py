@@ -1,10 +1,12 @@
 """Tests for the floating-point lattice sums and limit checks."""
 
+import functools
 import itertools
 import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -157,6 +159,25 @@ class TestMultitangent:
             assert m.tail_bound >= abs(further.partial - m.partial)
 
 
+def in_fresh_thread(f, *args):
+    """f(*args) in a new thread, with its own numeric workspace: its value, or its exception."""
+    out = []
+
+    def run():
+        try:
+            out.append(f(*args))
+        except Exception as exc:  # re-raised in the caller's thread
+            out.append(exc)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and out
+    if isinstance(out[0], Exception):
+        raise out[0]
+    return out[0]
+
+
 def whole_box_engine(ks, tau, cutoff):
     """The lattice engine over whole arrays of all 2*cutoff + 1 points: (corrected, raw).
 
@@ -234,10 +255,14 @@ class TestBlockedEngine:
                                             for i in range(1, len(ks) + 1)), (ks, cutoff, tau)
 
     def test_memory_is_bounded_by_the_block(self):
-        # whole arrays of the 2e6 + 1 points would take about 144 MB
+        # whole arrays of the 2e6 + 1 points would take about 144 MB; a fresh
+        # thread makes its own workspace, so the peak counts it, and numpy is
+        # imported untraced, so it does not
+        import numpy  # noqa: F401
+
         tracemalloc.start()
         try:
-            multitangent((2, 2, 2), 0.3 + 1j, 10**6)
+            in_fresh_thread(multitangent, (2, 2, 2), 0.3 + 1j, 10**6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -393,10 +418,13 @@ class TestEvalMacmahonChunked:
 
     def test_memory_is_bounded_by_the_chunk(self):
         # q = 1 - 2^-19 walks the whole 5M-term cap; one float64 array of
-        # every term would be 40 MB
+        # every term would be 40 MB.  As for the lattice: a fresh workspace
+        # is counted, numpy's import is not
+        import numpy  # noqa: F401
+
         tracemalloc.start()
         try:
-            value = eval_qseries_at("A", 2, 1 - 2.0**-19)
+            value = in_fresh_thread(eval_qseries_at, "A", 2, 1 - 2.0**-19)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,6 +487,97 @@ class TestEvalMacmahonBlocked:
         for r, odd, k in itertools.product([1, 3], [False, True], [2, 4]):
             for q in (0.5, 1 - 2.0**-4):
                 self.check(r, q, odd, k)
+
+
+HALF = numerics._CHUNK // 2
+
+# lattice calls of depths 1, 3 and 4 over 7 points, one point short of a block,
+# and two or three blocks and a point; q-side calls (r, q, odd, k) of 1 to 17 blocks
+WORKSPACE_LATTICE = [((2, 2, 2), 0.25 + 1j, numerics._CHUNK), ((3,), -0.3 + 0.5j, 3),
+                     ((4, 2, 3, 2), 1j, 3 * HALF), ((2, 3, 4), -1.7 + 0.2j, HALF - 1)]
+WORKSPACE_QSIDE = [(3, 1 - 2.0**-12, False, 2), (1, 0.5, True, 4),
+                   (2, 1 - 2.0**-6, True, 2), (4, 1 - 2.0**-10, False, 4)]
+
+
+def workspace_calls():
+    """Interleaved lattice and q-side calls, each with its whole-array reference value."""
+    def qside(r, q, odd, k):
+        value = _eval_macmahon(r, q, odd, 5_000_000, k=k)
+        return value.value, value.terms
+
+    calls = []
+    for box, sizes in zip(WORKSPACE_LATTICE, WORKSPACE_QSIDE):
+        calls.append((functools.partial(numerics._tangent_engine, *box), whole_box_engine(*box)))
+        calls.append((functools.partial(qside, *sizes), whole_size_sum(*sizes)))
+    return calls
+
+
+class TestWorkspace:
+    """The kernels' per-thread block buffers: allocated once, never read stale."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: multitangent((2, 2, 2), 0.3 + 1j, 10**4),
+        lambda: _eval_macmahon(3, 1 - 2**-12, False, numerics._MAX_TERMS),
+    ], ids=["lattice", "q-side"])
+    def test_warm_calls_allocate_nothing_block_sized(self, call):
+        # a block's float64 row alone is 128 KB, a complex one 256 KB
+        call()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**10
+
+    def test_poisoned_workspace(self):
+        # every row is nan between calls: a stale read would show as nan or raise
+        for call, expected in workspace_calls() * 2:
+            assert call() == expected
+            numerics._workspace.mem.fill(math.nan)
+
+    def test_one_workspace_for_both_dtypes(self):
+        # float64 rows are views of the complex rows' bytes: after the first,
+        # depth >= 2, lattice pass no call allocates, and about 1.9 MB is held
+        def held_after_each():
+            held = []
+            for call, _ in workspace_calls():
+                call()
+                held.append(numerics._workspace.mem)
+            return held
+
+        held = in_fresh_thread(held_after_each)
+        assert all(mem is held[0] for mem in held)
+        assert held[0].nbytes < 2 * 10**6
+
+    def test_two_threads_get_the_sequential_bits(self):
+        # the threads run the calls in opposite orders, switching often, so
+        # lattice and q-side blocks interleave
+        calls = [call for call, _ in workspace_calls()]
+        expected = [call() for call in calls]
+        barrier = threading.Barrier(2)
+        results = [None, None]
+
+        def worker(slot, order):
+            barrier.wait(timeout=60)
+            results[slot] = [(i, calls[i]()) for _ in range(3) for i in order]
+
+        threads = [threading.Thread(target=worker, args=(0, range(len(calls)))),
+                   threading.Thread(target=worker, args=(1, range(len(calls) - 1, -1, -1)))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got in results:
+            assert got is not None
+            for i, value in got:
+                assert value == expected[i], i
 
 
 class TestPythonScalars:

@@ -33,7 +33,8 @@ def test_lattice_weights(re, im):
     tau = complex(re, im)
     ks = tuple(range(2, 9))
     ns = np.array(POINTS, dtype=np.float64)
-    levels = numerics._lattice_weights(ks, tau, len(ns))(ns, np.empty(len(ns), dtype=complex))
+    free = [np.empty(len(ns), dtype=complex) for _ in range(numerics._FREE)]
+    levels = numerics._lattice_weights(ks, tau)(ns, free)
     for k, weights in zip(ks, levels):
         bound = 1.01 * (4 * k + math.sqrt(5) * (k - 1)) * U
         for n, w in zip(POINTS, weights):
