@@ -55,7 +55,6 @@ from .series import (
     CoeffRing,
     NonzeroConstantTermError,
     Series,
-    arcsin_series,
     series_ring,
 )
 
@@ -65,7 +64,7 @@ __all__ = [
     "CoeffRing", "DivergenceError", "GeneratorPoly", "HARMONIC", "LimitReport", "Mismatch",
     "NoRepresentationError", "NonConvergenceError", "NonzeroConstantTermError",
     "QuasiShuffleAlgebra", "RATIONALS", "Representation", "RouteMismatchError", "Series",
-    "SeriesValue", "TangentSum", "VerdictReport", "arcsin_series",
+    "SeriesValue", "TangentSum", "VerdictReport",
     "bernoulli", "divisor_power_sums", "eisenstein", "eisenstein_odd",
     "eval_qseries_at", "express_in_generators", "extract_polynomials",
     "format_generator_poly", "lemma_combinatorial_check",

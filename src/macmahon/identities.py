@@ -101,22 +101,33 @@ class GeneratorPoly(SparsePoly):
     def evaluate(self, values: dict, one):
         """Substitute ring elements for the generators; ``one`` is the target ring unit.
 
-        Each distinct prefix of the sorted monomials is one product, so
-        monomials that share factors (G2^2*G4 and G2^2*G6) share them.
+        The monomials' expansions come from one prefix table
+        (:func:`_prefix_table`), the one :func:`express_in_generators` reads,
+        so monomials that share factors (G2^2*G4 and G2^2*G6) share them.
         """
-        total = one * Fraction(0)
-        products = {(): one}
-        for mon, c in self.terms.items():
-            for k in range(1, len(mon) + 1):
-                if mon[:k] not in products:
-                    products[mon[:k]] = products[mon[:k - 1]] * values[mon[k - 1]]
-            total = total + products[mon] * c
-        return total
+        table = _prefix_table(self.terms, values, one)
+        return sum((table[mon] * c for mon, c in self.terms.items()), one * Fraction(0))
 
     def __str__(self):
         if not self.terms:
             return "0"
         return format_generator_poly(self, sorted({n for m in self.terms for n in m}))
+
+
+def _prefix_table(monomials, values: dict, one) -> dict:
+    """``{monomial: expansion}`` for every prefix of the sorted ``monomials``.
+
+    ``values`` maps each generator name to its ring element and ``()`` maps
+    to ``one``.  Each monomial is its longest proper prefix times its last
+    generator: one product per distinct non-constant prefix, in whatever
+    order the monomials come (names sort as strings, so G10 precedes G2).
+    """
+    table = {(): one}
+    for mon in monomials:
+        for k in range(1, len(mon) + 1):
+            if mon[:k] not in table:
+                table[mon[:k]] = table[mon[:k - 1]] * values[mon[k - 1]]
+    return table
 
 
 #: Polynomials in named generators as a coefficient ring.
@@ -472,6 +483,14 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
     (``verify_order``), so the supplied series must carry at least order
     2*q_order.
 
+    One prefix table (:func:`_prefix_table`), built once to ``verify_order``,
+    holds every candidate's expansion: one series product per non-constant
+    candidate, since every prefix of a candidate is a candidate.  The matrix
+    columns and the check both read it.  The check therefore proves that the
+    returned polynomial, expanded with the table's columns, equals the
+    target, which comes from the divisor-chain DP and not from the
+    generators; it does not derive each monomial's expansion a second time.
+
     Raises :class:`NoRepresentationError` when the system is inconsistent
     or when the expansion differs from ``target`` anywhere in that window
     (the message names the first differing q^n).  A positive dimensional
@@ -490,28 +509,16 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
 
     exps_list, _ = _candidate_monomials([w for _, w, _ in gens], weight_bound, q_order)
 
+    monomials = [GeneratorPoly._monomial([n for (n, _, _), e in zip(gens, exps) for _ in range(e)])
+                 for exps in exps_list]
     one = Series.constant(Fraction(1), verify_order)
-    values = {name: s.truncate(verify_order) for name, _, s in gens}
-    powers = []
-    for name, _, _ in gens:
-        pw = [one]
-        emax = max(e[len(powers)] for e in exps_list)
-        for _ in range(emax):
-            pw.append(pw[-1] * values[name])
-        powers.append(pw)
-    expansions = []
-    for exps in exps_list:
-        acc = one
-        for gi, e in enumerate(exps):
-            if e:
-                acc = acc * powers[gi][e]
-        expansions.append(acc)
-
-    matrix = [[exp[n] for exp in expansions] + [target[n]] for n in range(q_order + 1)]
+    table = _prefix_table(monomials, {n: s.truncate(verify_order) for n, _, s in gens}, one)
+    columns = [table[mon] for mon in monomials]
+    matrix = [[col[n] for col in columns] + [target[n]] for n in range(q_order + 1)]
     solution, underdetermined = _solve_exact(matrix)
-    poly = GeneratorPoly({tuple([n for (n, _, _), e in zip(gens, exps) for _ in range(e)]): c
-                          for c, exps in zip(solution, exps_list) if c})
-    got, want = poly.evaluate(values, one), target.truncate(verify_order)
+    poly = GeneratorPoly({mon: c for c, mon in zip(solution, monomials) if c})
+    got = sum((table[mon] * c for mon, c in poly.terms.items()), one * Fraction(0))
+    want = target.truncate(verify_order)
     if got != want:
         n = next(n for n in range(verify_order + 1) if got[n] != want[n])
         raise NoRepresentationError(f"candidate representation fails re-verification at q^{n}")

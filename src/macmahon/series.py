@@ -65,7 +65,6 @@ import struct
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Callable
 
 
 class NonzeroConstantTermError(ValueError):
@@ -511,9 +510,6 @@ class Series:
     def _zero_like(self, order=None):
         return Series.constant(self.ring.zero, self.order if order is None else order, self.ring)
 
-    def _one_like(self, order=None):
-        return Series.constant(self.ring.one, self.order if order is None else order, self.ring)
-
     def _is_peer(self, other) -> bool:
         return isinstance(other, Series) and other._series_depth == self._series_depth
 
@@ -618,18 +614,6 @@ class Series:
         _reject_float(other)
         return Series([c / other for c in self.coeffs], self.ring)
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("series powers take a non-negative integer exponent")
-        result = self._one_like()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if self._is_peer(other):
             # both reduced, so equal series have equal numerators and denominators
@@ -658,15 +642,6 @@ class Series:
             return self._zero_like()
         return self._select(lambda c, zero: (zero,) * k + c[: len(c) - k])
 
-    def dilate(self, c) -> "Series":
-        """Rescale the argument: return f(c*x)."""
-        _reject_float(c)
-        out, power = [], None
-        for i, a in enumerate(self.coeffs):
-            power = 1 if i == 0 else (c if i == 1 else power * c)
-            out.append(a if i == 0 else a * power)
-        return Series(out, self.ring)
-
     def even_part(self) -> "Series":
         """Coefficients of even powers, reindexed: f(x) = g(x^2) + x*h(x^2) -> g."""
         return self._select(lambda c, zero: c[0::2])
@@ -676,9 +651,6 @@ class Series:
         if self.order < 1:
             raise ValueError("need order >= 1 for an odd part")
         return self._select(lambda c, zero: c[1::2])
-
-    def map_coefficients(self, fn: Callable, ring: CoeffRing) -> "Series":
-        return Series([fn(c) for c in self.coeffs], ring)
 
     # -- analytic operations ------------------------------------------
 
@@ -783,21 +755,3 @@ def series_ring(coeff_ring: CoeffRing, order: int) -> CoeffRing:
         Series.constant(coeff_ring.one, order, coeff_ring),
     )
 
-
-def arcsin_series(x_order: int) -> Series:
-    """Taylor expansion of arcsin(x) to the given order, exact rationals.
-
-    Coefficients come from the term-ratio recurrence
-    c_{j+1} = c_j * (2j+1)^2 / ((2j+2)(2j+3)), which matches the closed form
-    binom(2j, j) / (4^j (2j+1)) for the coefficient of x^(2j+1).
-    """
-    if x_order < 1:
-        raise ValueError("arcsin series needs x_order >= 1")
-    coeffs = [Fraction(0)] * (x_order + 1)
-    c = Fraction(1)
-    j = 0
-    while 2 * j + 1 <= x_order:
-        coeffs[2 * j + 1] = c
-        c = c * (2 * j + 1) ** 2 / ((2 * j + 2) * (2 * j + 3))
-        j += 1
-    return Series(coeffs)

@@ -37,16 +37,16 @@ from macmahon.qseries import bernoulli, eisenstein, eisenstein_odd, macmahon_a, 
 from macmahon.series import (
     RATIONALS,
     Series,
-    arcsin_series,
     series_ring,
 )
 
 from lambda_poly import LAMBDAS, LambdaPoly
+from series_reference import arcsin_series, dilate, map_coefficients
 
 
 def lift_rationals(f, ring):
     """Embed a rational series into ``ring`` coefficientwise (c -> c * one)."""
-    return f.map_coefficients(lambda c: ring.one * c, ring)
+    return map_coefficients(f, lambda c: ring.one * c, ring)
 
 
 def lifted_x_route(gen_vals, x_order, inner, prefactor):
@@ -56,7 +56,7 @@ def lifted_x_route(gen_vals, x_order, inner, prefactor):
     composition taken from their definitions (sum f^n/n!, Horner) so that it
     shares no algorithm with the library's Y-graded fast path.
     """
-    s = lift_rationals(arcsin_series(x_order).dilate(F(1, 2)) * 2, inner)
+    s = lift_rationals(dilate(arcsin_series(x_order), F(1, 2)) * 2, inner)
     phi_coeffs = [inner.zero] * (x_order + 1)
     for j in range(1, x_order // 2 + 1):
         phi_coeffs[2 * j] = gen_vals[j] * F(1 if j % 2 else -1, j)
@@ -69,7 +69,7 @@ def lifted_x_route(gen_vals, x_order, inner, prefactor):
         power = power * inner_arg / n
         rhs = rhs + power
     if prefactor:
-        u = (arcsin_series(x_order + 1).dilate(F(1, 2)) * 2).odd_part()
+        u = (dilate(arcsin_series(x_order + 1), F(1, 2)) * 2).odd_part()
         pre = [F(0)] * (x_order + 1)
         for j in range(x_order // 2 + 1):
             pre[2 * j] = u[j]
@@ -89,7 +89,7 @@ def l_tracked_geng22(t_order, q_order):
     half = (t_order - 1) // 2
 
     def lift(f, e):
-        return f.map_coefficients(lambda c: LambdaPoly({e: c}), LAMBDAS)
+        return map_coefficients(f, lambda c: LambdaPoly({e: c}), LAMBDAS)
 
     arg = [inner.zero] * (t_order + 1)
     for k in range(1, half + 1):
@@ -171,13 +171,13 @@ class TestMainIdentities:
         # unoptimized formula
         q_order, x_order = 8, 6
         inner = series_ring(RATIONALS, q_order)
-        s = lift_rationals(arcsin_series(x_order).dilate(F(1, 2)) * 2, inner)
+        s = lift_rationals(dilate(arcsin_series(x_order), F(1, 2)) * 2, inner)
         phi_coeffs = [inner.zero] * (x_order + 1)
         for j in range(1, x_order // 2 + 1):
             phi_coeffs[2 * j] = eisenstein(2 * j, q_order) * F(1 if j % 2 else -1, j)
         inner_exp = Series(phi_coeffs, inner).compose(s).exp()
         pre_coeffs = [F(0)] * (x_order + 1)
-        u = (arcsin_series(x_order + 1).dilate(F(1, 2)) * 2).odd_part()
+        u = (dilate(arcsin_series(x_order + 1), F(1, 2)) * 2).odd_part()
         for j in range(x_order // 2 + 1):
             pre_coeffs[2 * j] = u[j]
         rhs = lift_rationals(Series(pre_coeffs), inner) * inner_exp
@@ -211,7 +211,7 @@ class TestTwoFactors:
         # (2/X) asin(X/2) exp(sum (-1)^(j-1)/j G_2j(0) S^2j) = 1, built in Y
         # from arcsin_series, and the library's form of it in U = S^2
         y = 60
-        u = (arcsin_series(2 * y + 1).dilate(F(1, 2)) * 2).odd_part()
+        u = (dilate(arcsin_series(2 * y + 1), F(1, 2)) * 2).odd_part()
         phi = Series([0] + [-bernoulli(2 * j) / (2 * math.factorial(2 * j)) * F(1 if j % 2 else -1, j)
                             for j in range(1, y + 1)])
         assert u * phi.compose((u * u).shift(1)).exp() == Series.constant(1, y)
@@ -455,10 +455,17 @@ class TestExpressInGenerators:
         assert rep.poly == extract_polynomials("A", 3)[2]
 
 
+#: User bases by their ``--generators`` text, as (name, weight) pairs.
+BASES = {"G2,G4,G6": (("G2", 2), ("G4", 4), ("G6", 6))}
+
+
 @functools.cache
-def express_inputs(side, r):
-    """The CLI's auto generators, target and least q_order for side:r at weight bound 2r."""
-    names = generator_names(side, r)
+def express_inputs(side, r, basis="auto"):
+    """The generators, target and least q_order for side:r at weight bound 2r.
+
+    ``basis`` is "auto", the CLI's default basis, or a key of ``BASES``.
+    """
+    names = generator_names(side, r) if basis == "auto" else BASES[basis]
     candidates, q_order = identities._candidate_monomials([w for _, w in names], 2 * r)
     gen = eisenstein if side == "A" else eisenstein_odd
     gens = [(n, w, gen(w, 2 * q_order)) for n, w in names]
@@ -505,6 +512,49 @@ class TestExpressCheck:
                     express_in_generators(target, gens, 2 * r, q_order)
 
         check()
+
+    @pytest.mark.parametrize("side,r,basis", [(side, r, "auto") for side in "AC"
+                                               for r in range(1, 5)] + [("A", 6, "G2,G4,G6")])
+    def test_answer_matches_an_independent_re_expansion(self, side, r, basis):
+        # the returned polynomial, re-expanded by Fraction convolutions that
+        # share no code with the library's prefix table, is the target
+        gens, target, _, q_order = express_inputs(side, r, basis)
+        rep = express_in_generators(target, gens, 2 * r, q_order)
+        order = 2 * q_order
+        got = [F(0)] * (order + 1)
+        for mon, c in rep.poly.terms.items():
+            exps = [mon.count(name) for name, _, _ in gens]
+            got = [a + c * b for a, b in zip(got, monomial_expansion(gens, exps, order))]
+        assert got == list(target.coeffs[: order + 1])
+
+
+class TestExpressPrefixTable:
+    """Each candidate monomial's expansion is formed once, for the solve and the check."""
+
+    @pytest.mark.parametrize("side,r,basis", [("A", 5, "auto"), ("C", 4, "auto"),
+                                               ("A", 6, "G2,G4,G6"), ("A", 6, "auto"),
+                                               ("C", 6, "auto")])
+    def test_one_series_product_per_non_constant_candidate(self, side, r, basis, monkeypatch):
+        gens, target, candidates, q_order = express_inputs(side, r, basis)
+        products = 0
+        mul = Series.__mul__
+
+        def counting_mul(self, other):
+            nonlocal products
+            products += isinstance(other, Series)
+            return mul(self, other)
+
+        monkeypatch.setattr(Series, "__mul__", counting_mul)
+        express_in_generators(target, gens, 2 * r, q_order)
+        assert products == len(candidates) - 1
+
+    def test_prefixes_need_not_come_in_weight_order(self):
+        # G10 sorts before G2, so the prefix of G10*G2 is G10, of higher weight
+        table = identities._prefix_table(
+            [("G10", "G2"), ("G2",)], {"G2": Series([1, 2, 0]), "G10": Series([1, 0, 3])},
+            Series.constant(F(1), 2))
+        assert table.keys() == {(), ("G10",), ("G10", "G2"), ("G2",)}
+        assert table[("G10", "G2")] == Series([1, 2, 3])
 
 
 class TestExactSolver:
@@ -625,11 +675,10 @@ class TestGeng22:
         order = 15
         zeta2 = zeta_two_power(1)
         assert zeta2 == F(-1, 24)
-        g2_lift = multiple_divisor_series(2, order).map_coefficients(
-            lambda c: LambdaPoly({1: c}), LAMBDAS)
+        g2_lift = map_coefficients(multiple_divisor_series(2, order),
+                                   lambda c: LambdaPoly({1: c}), LAMBDAS)
         lhs = g2_lift + Series.constant(LambdaPoly({1: zeta2}), order, LAMBDAS)
-        rhs = eisenstein(2, order).map_coefficients(
-            lambda c: LambdaPoly({1: c}), LAMBDAS)
+        rhs = map_coefficients(eisenstein(2, order), lambda c: LambdaPoly({1: c}), LAMBDAS)
         assert lhs == rhs
 
     def test_zeta_two_powers(self):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 from macmahon.identities import GeneratorPoly, _scale_by_rationals  # noqa: E402
 from macmahon.quasishuffle import HARMONIC  # noqa: E402
 from lambda_poly import LAMBDAS, LambdaPoly  # noqa: E402
+from series_reference import map_coefficients  # noqa: E402
 from macmahon.series import RATIONALS, Series, series_ring  # noqa: E402
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=80, deadline=None)
@@ -181,7 +182,7 @@ def test_depth_two_compose_and_exp_match_fractions(q_order, x_order, data):
 
 def lift(f):
     """A series over the rationals as one over L-polynomials of degree 0, which has no integer form."""
-    return f.map_coefficients(lambda c: LambdaPoly({0: c}), LAMBDAS)
+    return map_coefficients(f, lambda c: LambdaPoly({0: c}), LAMBDAS)
 
 
 def unlift(f):
