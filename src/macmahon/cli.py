@@ -42,6 +42,7 @@ from .identities import (
 )
 from .numerics import (
     NonConvergenceError,
+    _monotangent_cutoff,
     limit_check,
     lipschitz_value,
     monotangent,
@@ -260,7 +261,7 @@ def _cmd_numeric(args) -> int:
         if args.k is None or args.k < 2:
             raise UsageError("monotangent needs --k >= 2")
         tau = _parse_tau(args.tau)
-        cutoff = 100_000 if args.cutoff is None else args.cutoff
+        cutoff = _monotangent_cutoff(args.k, tau) if args.cutoff is None else args.cutoff
         tol = 1e-8 if args.tol is None else args.tol
         lattice = monotangent(args.k, tau, cutoff)
         qside = lipschitz_value(args.k, tau)
@@ -389,7 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", help="comma-separated exponents, e.g. 2,2")
     p.add_argument("--r", type=int)
     p.add_argument("--tau", default="0,1", help="tau as re,im with im > 0")
-    p.add_argument("--cutoff", type=int)
+    p.add_argument("--cutoff", type=int,
+                   help="lattice box |n| <= cutoff; default: monotangent the least one whose "
+                        "Euler-Maclaurin remainder is below double-precision rounding "
+                        "(at most 100000), multitangent 10000")
     p.add_argument("--grid-k", dest="grid_k", default="4..10",
                    help="q = 1 - 2^-k for k in lo..hi")
     p.add_argument("--tol", type=float)

@@ -14,7 +14,9 @@ pass builds the index level by level, so the corrected value of every
 leading sub-index k_1..k_i comes out of it too, bit for bit the value of
 its own call: ``numeric --check multitangent`` reads Psi_2 there and runs
 one lattice pass per check.  Depth times (2 * cutoff + 1) is capped at
-10^8 lattice terms, seconds of work.
+10^8 lattice terms, seconds of work.  ``numeric --check monotangent``
+takes its default cutoff from ``_monotangent_cutoff``: the least one whose
+Euler-Maclaurin remainder is below the rounding of the largest term.
 
 Every q-side sum is built on sum_{d>=1} d^n x^d = x A_n(x)/(1 - x)^(n+1),
 A_n the Eulerian polynomial (``_power_sum``, for scalars and arrays).
@@ -80,8 +82,11 @@ class TangentSum:
     ``value = partial + correction``; ``tail_bound`` bounds the part of the
     exact sum missing from ``partial``, and ``neglected_bound`` estimates
     what ``value`` still omits (Euler-Maclaurin remainders and, for depth
-    >= 2, dropped corner terms).  ``leading[i - 1]`` is the corrected value
-    of the sub-index k_1..k_i, from the same pass; the last is ``value``.
+    >= 2, dropped corner terms).  Both cover truncation only, not the
+    floating-point rounding of the terms and of their cumulative sum, which
+    grows with the cutoff and dominates past a few hundred points.
+    ``leading[i - 1]`` is the corrected value of the sub-index k_1..k_i,
+    from the same pass; the last is ``value``.
     """
 
     value: complex
@@ -109,6 +114,47 @@ def _em_tail(k: int, tau: complex, a: int, sign: int) -> complex:
 def _one_sided_tail_bound(k: int, tau: complex, n: int) -> float:
     margin = n - abs(tau.real)
     return margin ** (1 - k) / (k - 1)
+
+
+def _em_remainder(k: int) -> tuple:
+    """``(c, p)``: c * a^-p bounds the Euler-Maclaurin remainders of both level-1 tails.
+
+    a = cutoff + 1 - |Re tau| is the least distance from tau to a point
+    outside the box.
+    """
+    return 2 * (k * (k + 1) * (k + 2) / 720), k + 3
+
+
+# the least margin a the default monotangent cutoff takes: with a smaller
+# one the tail's Euler-Maclaurin terms past the remainder bound show where
+# Im tau is small (with none, k = 9 at tau = 0.3+0.05i takes cutoff 2 and
+# errs 1.3e-10)
+_MIN_MARGIN = 32
+
+# the default monotangent cutoff never exceeds this
+_MAX_DEFAULT_CUTOFF = 100_000
+
+
+def _monotangent_cutoff(k: int, tau: complex) -> int:
+    """Depth-1 cutoff whose level-1 remainder falls below the rounding of the largest term.
+
+    The smallest margin a = cutoff + 1 - |Re tau| with c * a^-p
+    (``_em_remainder``) at most 2^-53 * Im(tau)^-k, the double-precision
+    floor of the largest lattice term, solved in logs so that no power
+    overflows; at least ``_MIN_MARGIN``, and the cutoff at least
+    int(|Re tau|) + 2 and at most ``_MAX_DEFAULT_CUTOFF``.  A tau that is
+    not finite or not in the upper half plane gets the cap, and
+    ``monotangent`` refuses it.
+    """
+    if not (cmath.isfinite(tau) and tau.imag > 0):
+        return _MAX_DEFAULT_CUTOFF
+    # past 2^53 the exponent is not a float; the margin then barely moves with k
+    k = min(k, 1 << 53)
+    c, p = _em_remainder(k)
+    log_a = (math.log(c) + 53 * math.log(2) + k * math.log(tau.imag)) / p
+    a = max(_MIN_MARGIN, math.exp(min(log_a, math.log(_MAX_DEFAULT_CUTOFF + 1))))
+    cutoff = max(math.ceil(a - 1 + abs(tau.real)), int(abs(tau.real)) + 2)
+    return min(cutoff, _MAX_DEFAULT_CUTOFF)
 
 
 # points per numpy block in _ordered_sums: memory stays O(_CHUNK) whatever
@@ -301,9 +347,8 @@ def _tangent_bounds(ks, tau, cutoff):
         tail_bound += prod
     # neglected after correction: E-M remainder of level 1, plus the dropped
     # corner channels of the deeper levels
-    k1 = ks[0]
-    a = cutoff + 1 - abs(tau.real)
-    rem = 2 * (k1 * (k1 + 1) * (k1 + 2) / 720) * a ** (-k1 - 3)
+    c, p = _em_remainder(ks[0])
+    rem = c * (cutoff + 1 - abs(tau.real)) ** -p
     scale = 1.0
     for i in range(1, len(ks)):
         rem += 2 * _one_sided_tail_bound(ks[i], tau, cutoff) * \

@@ -58,10 +58,18 @@ class WordCombo(SparsePoly):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+# the memo of word-pair products empties once it holds this many; a product of
+# words of lengths m and n memoises at most m * n pairs, and
+# ``exp_identity_check`` for the letters 2 and 3 up to n = 10 needs 90
+_MEMO_ENTRIES = 1 << 12
+
+
 class QuasiShuffleAlgebra:
     """Words with the harmonic quasi-shuffle product, memoised per pair of words in ``_cache``.
 
-    Every :class:`WordCombo` product reads the memo of :data:`HARMONIC`.
+    Every :class:`WordCombo` product reads the memo of :data:`HARMONIC`.  The
+    memo holds at most ``_MEMO_ENTRIES`` pairs: a full memo is emptied before
+    the next pair goes in, so memory stays bounded for the life of the process.
     """
 
     def __init__(self):
@@ -92,6 +100,8 @@ class QuasiShuffleAlgebra:
             for word, c in sub.items():
                 word = head + word
                 out[word] = out.get(word, 0) + c
+        if len(self._cache) >= _MEMO_ENTRIES:
+            self._cache.clear()
         self._cache[key] = out
         return out
 

@@ -228,6 +228,47 @@ class TestNumericCommand:
         payload = json.loads(out)["payload"]
         assert payload["rel_error"] <= 1e-8
 
+    def test_default_cutoff_comes_from_the_rule(self, capsys):
+        from macmahon import numerics
+
+        tau = complex(0.2, 0.9)
+        code, out, _ = run(capsys, "numeric", "--check", "monotangent", "--k", "3",
+                           "--tau=0.2,0.9", "--format", "json")
+        assert code == 0
+        envelope = json.loads(out)
+        payload = envelope["payload"]
+        cutoff = numerics._monotangent_cutoff(3, tau)
+        assert payload["cutoff"] == envelope["parameters"]["cutoff"] == cutoff < 100_000
+        assert list(payload) == ["check", "k", "tau", "cutoff", "lattice", "q_side",
+                                 "rel_error", "tail_bound", "neglected_bound", "tolerance"]
+        value = numerics.monotangent(3, tau, cutoff).value
+        assert payload["lattice"] == [value.real, value.imag]
+
+    @pytest.mark.parametrize("fmt", [(), ("--format", "json")])
+    def test_cutoff_100000_prints_what_the_old_default_printed(self, capsys, monkeypatch, fmt):
+        # the default was 10^5 whatever k and tau
+        argv = ("numeric", "--check", "monotangent", "--k", "3", "--tau=0.2,0.9", *fmt)
+        explicit = run(capsys, *argv, "--cutoff", "100000")
+        monkeypatch.setattr(cli, "_monotangent_cutoff", lambda k, tau: 100_000)
+        assert run(capsys, *argv) == explicit
+
+    @pytest.mark.parametrize("tau, k, code, cutoff", [
+        # the lattice value is the same at cutoffs 32 and 10^5
+        ("0.1,10", 170, 0, 32),
+        # int(|Re tau|) + 2 is past the cap, which wins: refused as before
+        ("99999.5,1", 2, 1, None),
+        # int(|Re tau|) + 2 is the cap: it runs there and misses, as before
+        ("99998.5,1", 2, 2, 100_000),
+    ])
+    def test_default_cutoff_edges_keep_their_exit_codes(self, capsys, tau, k, code, cutoff):
+        got, out, err = run(capsys, "numeric", "--check", "monotangent", "--k", str(k),
+                            f"--tau={tau}", "--format", "json")
+        assert got == code
+        if cutoff is None:
+            assert (out, err) == ("", "error: cutoff too small for this depth and tau\n")
+        else:
+            assert json.loads(out)["payload"]["cutoff"] == cutoff
+
     def test_monotangent_k1_usage(self, capsys):
         assert run(capsys, "numeric", "--check", "monotangent", "--k", "1",
                    "--tau", "0,1")[0] == 1

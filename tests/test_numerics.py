@@ -90,6 +90,39 @@ class TestMonotangent:
         assert abs(lattice.value - qside) <= 1e-13 * abs(qside)
 
 
+class TestDefaultCutoff:
+    @pytest.mark.parametrize("tau", [1j, 0.5 + 0.7j, -0.45 + 0.2j, 0.2 + 2j, 3000.25 + 0.9j])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_least_margin_meeting_the_rounding_floor(self, k, tau):
+        cutoff = numerics._monotangent_cutoff(k, tau)
+        c, p = numerics._em_remainder(k)
+        floor = 2.0**-53 * tau.imag ** -k
+
+        def margin(n):
+            return n + 1 - abs(tau.real)
+
+        assert c * margin(cutoff) ** -p <= floor
+        assert margin(cutoff - 1) < numerics._MIN_MARGIN or c * margin(cutoff - 1) ** -p > floor
+
+    def test_floor_and_cap(self):
+        assert numerics._monotangent_cutoff(12, 1j) == 31
+        assert numerics._monotangent_cutoff(9, 0.3 + 0.05j) == 32
+        assert numerics._monotangent_cutoff(2, 1e6j) == 100_000
+        # int(|Re tau|) + 2, the least cutoff monotangent takes, above the cap
+        assert numerics._monotangent_cutoff(2, 99999.5 + 1j) == 100_000
+
+    @pytest.mark.parametrize("k", [2, 3, 9, 62, 170, 400, 10**6, 10**400])
+    def test_never_raises(self, k):
+        for im in (1e-300, 1e-100, 1e-10, 0.05, 1.0, 10.0, 1e3):
+            for re in (0.0, -0.3, 2.5, -99998.5, 99999.5, 1e300):
+                cutoff = numerics._monotangent_cutoff(k, complex(re, im))
+                assert type(cutoff) is int
+                assert min(int(abs(re)) + 2, 100_000) <= cutoff <= 100_000
+        # monotangent refuses these itself
+        for tau in (-1j, 0j, complex(math.nan, 1), complex(0, math.inf)):
+            assert numerics._monotangent_cutoff(k, tau) == 100_000
+
+
 class TestMultitangent:
     def test_depth_one_same_code_path(self):
         a = monotangent(2, 1j, 4000)

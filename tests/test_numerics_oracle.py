@@ -9,6 +9,7 @@ mpmath = pytest.importorskip("mpmath")
 np = pytest.importorskip("numpy")
 
 from macmahon.numerics import (  # noqa: E402
+    _monotangent_cutoff,
     _power_sum,
     eval_qseries_at,
     lipschitz_value,
@@ -104,9 +105,27 @@ def test_monotangent_within_its_bounds(k):
     # order by eps * (sum_j |partial sum_j| + k * sum_j |term_j|)
     for tau in TAUS:
         ref = mp_q_side(k, tau)
-        for cutoff in (100, 1000, 10**4, 10**5):  # 10**5 is the CLI default
+        for cutoff in (100, 1000, 10**4, 10**5):  # 10**5 caps the CLI default
             m = monotangent(k, tau, cutoff)
             terms = (tau + np.arange(cutoff, -cutoff - 1, -1.0)) ** (-k)
             rounding = EPS * (np.abs(np.cumsum(terms)).sum() + k * np.abs(terms).sum())
             err = abs(mpmath.mpmathify(m.value) - ref)
             assert err <= m.neglected_bound + rounding + 1e-15 * abs(m.value), (tau, cutoff)
+
+
+# the unit box around i that the benchmark draws from, the real-axis edge
+# of the default cutoff's floor on the margin, a large Im tau and a large Re tau
+GATE_TAUS = (0.5 + 0.7j, -0.5 + 0.7j, 0.5 + 1.3j, -0.5 + 1.3j, 1j, 0.1 + 0.7j,
+             0.3 + 0.05j, -0.45 + 0.2j, 0.2 + 2j, 3000.25 + 0.9j)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 9, 12])
+def test_default_cutoff_as_accurate_as_the_cap(k):
+    # the two small-Im taus catch a floor set too low: with none, k = 9 at
+    # 0.3+0.05i takes cutoff 2 and errs 1.3e-10; with a floor of 16, k = 5
+    # there takes 16 and errs 3.2e-14
+    for tau in GATE_TAUS:
+        ref = mp_q_side(k, tau)
+        default, capped = [abs(mpmath.mpmathify(monotangent(k, tau, c).value) - ref) / abs(ref)
+                           for c in (_monotangent_cutoff(k, tau), 10**5)]
+        assert default <= max(2 * capped, 2e-14), tau

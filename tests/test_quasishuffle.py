@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from macmahon import quasishuffle
 from macmahon.quasishuffle import HARMONIC
 
 
@@ -72,6 +73,29 @@ class TestProduct:
             v2 = tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 4)))
             for word in HARMONIC.product(u2, v2).terms:
                 assert min(word) >= 2
+
+
+class TestMemo:
+    def test_memo_stops_growing_and_products_stay_equal(self, monkeypatch):
+        rng = random.Random(5)
+        pairs = [(rand_word(rng), rand_word(rng)) for _ in range(300)]
+        monkeypatch.setattr(HARMONIC, "_cache", {})
+        expected = [HARMONIC.product(u, v) for u, v in pairs]
+        grown = len(HARMONIC._cache)
+        # a bound far below one pass's needs empties the memo many times,
+        # in the middle of a product's recursion too
+        monkeypatch.setattr(quasishuffle, "_MEMO_ENTRIES", 16)
+        HARMONIC._cache.clear()
+        for (u, v), product in zip(pairs, expected):
+            assert HARMONIC.product(u, v) == product
+            assert len(HARMONIC._cache) <= 16
+        assert grown > 16
+
+    def test_default_bound_holds_the_exp_identity_memo(self, monkeypatch):
+        monkeypatch.setattr(HARMONIC, "_cache", {})
+        assert HARMONIC.exp_identity_check(2, 10) is None
+        assert HARMONIC.exp_identity_check(3, 10) is None
+        assert len(HARMONIC._cache) < quasishuffle._MEMO_ENTRIES
 
 
 class TestPowers:
