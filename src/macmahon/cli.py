@@ -28,8 +28,10 @@ import sys
 
 from . import __version__
 from .identities import (
+    _SOLVE_MARGIN,
     NoRepresentationError,
     _candidate_monomials,
+    _count_candidates,
     _ordered_monomials,
     express_in_generators,
     format_generator_poly,
@@ -183,6 +185,12 @@ def _cmd_verify(args) -> int:
 # names and indices are written without leading zeros, so each has one spelling
 _GEN_NAME = re.compile(r"Go?([1-9]\d*)")
 
+# express's cost ceiling, checked before any series is built: r, half of each
+# generator's weight, and the solve window q_order stay at or below it.  The
+# window holds one coefficient per candidate monomial plus _SOLVE_MARGIN, so
+# the candidates are counted, never listed, up to the ceiling less the margin.
+EXPRESS_LIMIT = 200
+
 
 def _cmd_express(args) -> int:
     m = re.fullmatch(r"([AC]):([1-9]\d*)", args.target)
@@ -192,6 +200,10 @@ def _cmd_express(args) -> int:
     weight_bound = 2 * r if args.weight_bound is None else args.weight_bound
     if weight_bound < 0:
         raise UsageError("--weight-bound must be >= 0")
+    if r > EXPRESS_LIMIT:
+        raise UsageError(f"express admits r <= {EXPRESS_LIMIT}")
+    if args.q_order is not None and args.q_order > EXPRESS_LIMIT:
+        raise UsageError(f"express admits --q-order <= {EXPRESS_LIMIT}")
 
     if args.generators == "auto":
         pairs = generator_names(side, r)
@@ -206,6 +218,14 @@ def _cmd_express(args) -> int:
         odd = next((n for n, w in zip(names, weights) if w % 2), None)
         if odd:
             raise UsageError(f"generator {odd!r} needs an even weight >= 2")
+        if max(weights) > 2 * EXPRESS_LIMIT:
+            raise UsageError(f"express admits generator weights <= {2 * EXPRESS_LIMIT}")
+
+    max_candidates = EXPRESS_LIMIT - _SOLVE_MARGIN
+    if _count_candidates(weights, weight_bound, max_candidates) > max_candidates:
+        raise UsageError(f"express admits at most {max_candidates} candidate monomials "
+                         f"(q_order <= {EXPRESS_LIMIT}); {args.target} has more "
+                         f"at weight bound {weight_bound}")
 
     # a --q-order below the solve window is refused before any series is built
     _, min_order = _candidate_monomials(weights, weight_bound, args.q_order)

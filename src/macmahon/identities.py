@@ -408,6 +408,25 @@ def _candidate_monomials(weights: Sequence[int], bound: int,
     return out, len(out) + _SOLVE_MARGIN
 
 
+def _count_candidates(weights: Sequence[int], bound: int, limit: int) -> int:
+    """The number of :func:`_candidate_monomials`, or ``limit + 1`` once it passes ``limit``.
+
+    Nothing is enumerated past ``limit``: only the weights of the partial
+    monomials are kept, and a generator heavier than ``bound`` is skipped.
+    """
+    sums = [0]
+    for w in weights:
+        if w > bound:
+            continue
+        grown = []
+        for s in sums:
+            if len(grown) + (bound - s) // w + 1 > limit:
+                return limit + 1
+            grown.extend(range(s, bound + 1, w))
+        sums = grown
+    return len(sums)
+
+
 def _bareiss_echelon(rows: list) -> tuple:
     """Fraction-free row reduction of an integer augmented matrix, in place.
 
@@ -447,13 +466,18 @@ def _solve_exact(matrix: list) -> tuple:
 
     Returns (solution, free_column_flag); raises ``NoRepresentationError``
     on inconsistency.  Free variables are set to zero.
+
+    Each row is scaled to integers by the lcm ``den`` of its denominators:
+    entry x becomes ``x.numerator * (den // x.denominator)``, an exact
+    integer product with no gcd normalisation.  Those integers are the
+    ``x * den`` of every entry, so the elimination sees the same matrix.
     """
     rows = []
     for row in matrix:
         den = 1
         for x in row:
             den = lcm(den, x.denominator)
-        rows.append([int(x * den) for x in row])
+        rows.append([x.numerator * (den // x.denominator) for x in row])
     ncols = len(matrix[0]) - 1
     rank, piv_cols = _bareiss_echelon(rows)
     for i in range(rank, len(rows)):

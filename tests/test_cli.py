@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import macmahon
-from macmahon import cli
+from macmahon import cli, identities
 from macmahon.cli import main
 from macmahon.qseries import RouteMismatchError
 from macmahon.series import Series
@@ -218,6 +218,34 @@ class TestExpressCommand:
         code, out, err = run(capsys, "express", "--target", "A:3", "--q-order", q_order)
         assert (code, out) == (1, "")
         assert err == "error: q_order must be >= number of candidate monomials + 10 (7 + 10)\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (("--target", "A:20"), "at most 190 candidate monomials (q_order <= 200); "
+                               "A:20 has more at weight bound 40"),
+        (("--target", "A:1000000000000"), "r <= 200"),
+        (("--target", "A:1000000000000", "--weight-bound", "0"), "r <= 200"),
+        (("--target", "A:2", "--weight-bound", "1000000"),
+         "at most 190 candidate monomials (q_order <= 200); A:2 has more at weight bound 1000000"),
+        (("--target", "A:2", "--q-order", "1000000000000000000"), "--q-order <= 200"),
+        (("--target", "C:2", "--generators", "Go2,G1000000000"), "generator weights <= 400"),
+    ])
+    def test_past_the_limit_is_refused_before_any_series(self, capsys, monkeypatch, argv, err):
+        def refused(*args):
+            raise AssertionError("built past the limit")
+
+        for name in ("eisenstein", "eisenstein_odd", "macmahon_a", "macmahon_c",
+                     "_candidate_monomials"):
+            monkeypatch.setattr(cli, name, refused)
+        code, out, got = run(capsys, "express", *argv)
+        assert (code, out, got) == (1, "", f"error: express admits {err}\n")
+
+    def test_limit_admits_the_documented_solves(self):
+        limit = cli.EXPRESS_LIMIT - identities._SOLVE_MARGIN
+        count = identities._count_candidates
+        assert count(range(2, 21, 2), 20, limit) == 139  # A:10 auto
+        assert count([2, 4, 6], 24, limit) == 102  # A:12 --generators G2,G4,G6
+        assert count([2, 2, 4], 16, limit) == 95  # C:8 --generators G2,Go2,Go4
+        assert count(range(2, 23, 2), 22, limit) == limit + 1  # A:11 auto has 195
 
 
 class TestNumericCommand:

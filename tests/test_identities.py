@@ -583,7 +583,7 @@ class TestExactSolver:
                 return None
         for i, c in enumerate(piv):
             x[c] = rows[i][-1]
-        return x
+        return x, r
 
     def test_against_gauss_random(self):
         rng = random.Random(321)
@@ -596,9 +596,46 @@ class TestExactSolver:
             expect = self.gauss_oracle(aug)
             got, _ = _solve_exact([row[:] for row in aug])
             assert expect is not None
-            # both must satisfy the system (solutions may differ if singular)
             for row in aug:
                 assert sum(a * g for a, g in zip(row[:-1], got)) == row[-1]
+
+    @pytest.mark.parametrize("shape", ["overdetermined", "rank-deficient"])
+    def test_same_solution_as_gauss(self, shape):
+        # Both eliminate columns left to right, so they find the same pivot
+        # columns, and both set free variables to zero; so on a singular
+        # system they must return the same member of the solution space,
+        # not merely some solution.
+        # The underdetermined express answers (A:4 auto and up) rest on this.
+        rng = random.Random(f"solver-{shape}")
+        dens = [1, 2, 3, 10**6 + 3, 10**12 + 39]
+        underdetermined = 0
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            m = rng.randint(n + 1, n + 4) if shape == "overdetermined" else rng.randint(1, n + 2)
+            k = rng.randint(1, min(m, n))  # rank <= k
+            # one denominator per column of C, up to 10**12 + 39, so the entries of
+            # B*C share it column by column
+            col_dens = [rng.choice(dens + [rng.randint(1, 10**12 + 39)]) for _ in range(n)]
+            c = [[F(rng.randint(-10**6, 10**6), d) if rng.random() < 0.8 else F(0)
+                  for d in col_dens] for _ in range(k)]
+            b = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(m)]
+            a = [[sum(bi[t] * c[t][j] for t in range(k)) for j in range(n)] for bi in b]
+            sol = [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)]
+            aug = [row + [sum(x * s for x, s in zip(row, sol))] for row in a]
+            expect, rank = self.gauss_oracle(aug)
+            got, free = _solve_exact([row[:] for row in aug])
+            assert got == expect
+            assert free == (rank < n)
+            underdetermined += free
+        assert underdetermined >= 10
+
+    def test_candidate_count_matches_the_list(self):
+        rng = random.Random(99)
+        for _ in range(300):
+            weights = [rng.randint(1, 8) for _ in range(rng.randint(0, 5))]
+            bound, limit = rng.randint(0, 24), rng.randint(0, 400)
+            n = len(identities._candidate_monomials(weights, bound)[0])
+            assert identities._count_candidates(weights, bound, limit) == min(n, limit + 1)
 
     def test_inconsistent_detected(self):
         rng = random.Random(654)
