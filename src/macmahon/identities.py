@@ -471,6 +471,7 @@ def _solve_exact(matrix: list) -> tuple:
     entry x becomes ``x.numerator * (den // x.denominator)``, an exact
     integer product with no gcd normalisation.  Those integers are the
     ``x * den`` of every entry, so the elimination sees the same matrix.
+    An int row has ``den`` 1 and passes through unchanged.
     """
     rows = []
     for row in matrix:
@@ -515,6 +516,17 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
     target, which comes from the divisor-chain DP and not from the
     generators; it does not derive each monomial's expansion a second time.
 
+    The matrix is the table's integer numerators: column j holds the
+    numerators of candidate j over its denominator den_j, and the last
+    column those of the target over den_t.  That is the rational system
+    with column j scaled by den_t/den_j, so its unknown y_j is x_j *
+    den_t/den_j and the answer is x_j = y_j * den_j/den_t.  Scaling a
+    column by a nonzero constant scales every minor through it by the same
+    constant, so the elimination takes the same pivot columns, the free
+    unknowns (set to zero) are the same, and the answer is the one the
+    rational matrix gives.  Both ``target`` and the generator series must be
+    series over the rationals (``ValueError`` otherwise).
+
     Raises :class:`NoRepresentationError` when the system is inconsistent
     or when the expansion differs from ``target`` anywhere in that window
     (the message names the first differing q^n).  A positive dimensional
@@ -526,6 +538,11 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
         raise ValueError("generator names must be distinct")
     if any(w < 1 for _, w, _ in gens):
         raise ValueError("generator weights must be positive")
+    if not isinstance(target, Series) or target.ring is not RATIONALS:
+        raise ValueError("target must be a series over the rationals")
+    for n, _, s in gens:
+        if not isinstance(s, Series) or s.ring is not RATIONALS:
+            raise ValueError(f"generator {n} must be a series over the rationals")
     verify_order = 2 * q_order
     if target.order < verify_order or any(s.order < verify_order for _, _, s in gens):
         raise ValueError(f"target and generator series need order >= {verify_order} "
@@ -538,8 +555,9 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
     one = Series.constant(Fraction(1), verify_order)
     table = _prefix_table(monomials, {n: s.truncate(verify_order) for n, _, s in gens}, one)
     columns = [table[mon] for mon in monomials]
-    matrix = [[col[n] for col in columns] + [target[n]] for n in range(q_order + 1)]
-    solution, underdetermined = _solve_exact(matrix)
+    matrix = [[col._nums[n] for col in columns] + [target._nums[n]] for n in range(q_order + 1)]
+    scaled, underdetermined = _solve_exact(matrix)
+    solution = [y * col._den / target._den for y, col in zip(scaled, columns)]
     poly = GeneratorPoly({mon: c for c, mon in zip(solution, monomials) if c})
     got = sum((table[mon] * c for mon, c in poly.terms.items()), one * Fraction(0))
     want = target.truncate(verify_order)

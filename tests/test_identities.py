@@ -441,6 +441,17 @@ class TestExpressInGenerators:
             express_in_generators(
                 macmahon_a(1, 20), [("G2", 2, eisenstein(2, 20))], 2, 15)
 
+    @pytest.mark.parametrize("bad", ["target", "generator G2"])
+    def test_series_over_another_ring_rejected(self, bad):
+        # a series over generator polynomials, or no series at all, is refused
+        # with the argument named
+        target, g2 = macmahon_a(1, 30), eisenstein(2, 30)
+        other = Series.constant(GENPOLYS.one, 30, GENPOLYS)
+        for wrong in (other, list(other.coeffs)):
+            args = (wrong, g2) if bad == "target" else (target, wrong)
+            with pytest.raises(ValueError, match=f"^{bad} must be a series over the rationals$"):
+                express_in_generators(args[0], [("G2", 2, args[1])], 2, 15)
+
     def test_duplicate_names_rejected(self):
         gens = [("G2", 2, eisenstein(2, 30)), ("G2", 2, eisenstein(2, 30))]
         with pytest.raises(ValueError):
@@ -456,7 +467,8 @@ class TestExpressInGenerators:
 
 
 #: User bases by their ``--generators`` text, as (name, weight) pairs.
-BASES = {"G2,G4,G6": (("G2", 2), ("G4", 4), ("G6", 6))}
+BASES = {"G2,G4,G6": (("G2", 2), ("G4", 4), ("G6", 6)),
+         "G2,Go2,Go4": (("G2", 2), ("Go2", 2), ("Go4", 4))}
 
 
 @functools.cache
@@ -467,8 +479,8 @@ def express_inputs(side, r, basis="auto"):
     """
     names = generator_names(side, r) if basis == "auto" else BASES[basis]
     candidates, q_order = identities._candidate_monomials([w for _, w in names], 2 * r)
-    gen = eisenstein if side == "A" else eisenstein_odd
-    gens = [(n, w, gen(w, 2 * q_order)) for n, w in names]
+    gens = [(n, w, (eisenstein_odd if n.startswith("Go") else eisenstein)(w, 2 * q_order))
+            for n, w in names]
     target = (macmahon_a if side == "A" else macmahon_c)(r, 2 * q_order)
     return gens, target, candidates, q_order
 
@@ -498,6 +510,9 @@ class TestExpressCheck:
             gens, target, candidates, q_order = express_inputs(side, r)
             i = data.draw(st.integers(0, len(candidates) - 1), label="moved monomial")
 
+            # the solver sees the table's numerators, so its unknown i is x_i
+            # scaled by den_t/den_i, and delta moves x_i by delta*den_i/den_t:
+            # a nonzero multiple of delta, which first shows at the same q^n
             def moved(matrix):
                 x, free = solve(matrix)
                 return x[:i] + [x[i] + delta] + x[i + 1:], free
@@ -526,6 +541,51 @@ class TestExpressCheck:
             exps = [mon.count(name) for name, _, _ in gens]
             got = [a + c * b for a, b in zip(got, monomial_expansion(gens, exps, order))]
         assert got == list(target.coeffs[: order + 1])
+
+
+def fraction_matrix_express(target, gens, weight_bound, q_order):
+    """The :class:`Representation` from the solve on the `Fraction` matrix.
+
+    The columns are read coefficient by coefficient as `Fraction`s from the
+    library's prefix table, so this differs from ``express_in_generators``
+    only in the matrix it solves; it does not re-verify.
+    """
+    exps_list, _ = identities._candidate_monomials([w for _, w, _ in gens], weight_bound)
+    monomials = [GeneratorPoly._monomial([n for (n, _, _), e in zip(gens, exps)
+                                          for _ in range(e)]) for exps in exps_list]
+    table = identities._prefix_table(monomials, {n: s.truncate(q_order) for n, _, s in gens},
+                                     Series.constant(F(1), q_order))
+    columns = [table[mon] for mon in monomials]
+    matrix = [[col[n] for col in columns] + [target[n]] for n in range(q_order + 1)]
+    solution, underdetermined = _solve_exact(matrix)
+    poly = GeneratorPoly({mon: c for c, mon in zip(solution, monomials) if c})
+    return identities.Representation(poly, underdetermined, len(exps_list), q_order,
+                                     2 * q_order)
+
+
+class TestExpressNumeratorMatrix:
+    """The solve on the prefix table's numerators gives the `Fraction` matrix's answer."""
+
+    @pytest.mark.parametrize("side,r,basis",
+                             [(side, r, "auto") for side in "AC" for r in range(1, 7)]
+                             + [("A", r, "G2,G4,G6") for r in range(1, 7)]
+                             + [("C", r, "G2,Go2,Go4") for r in range(1, 7)])
+    def test_same_representation_as_the_fraction_matrix(self, side, r, basis):
+        gens, target, _, q_order = express_inputs(side, r, basis)
+        rep = express_in_generators(target, gens, 2 * r, q_order)
+        assert rep == fraction_matrix_express(target, gens, 2 * r, q_order)
+
+    @pytest.mark.parametrize("side,r,basis", [("A", 3, "auto"), ("A", 5, "auto"),
+                                               ("C", 4, "G2,Go2,Go4")])
+    def test_target_with_a_denominator(self, side, r, basis):
+        # A_r and C_r have integer coefficients, so their den_t is 1; a target
+        # over 21 exercises the target's side of the rescaling
+        gens, target, _, q_order = express_inputs(side, r, basis)
+        moved = target * F(5, 7) + F(1, 3)
+        rep = express_in_generators(moved, gens, 2 * r, q_order)
+        assert rep == fraction_matrix_express(moved, gens, 2 * r, q_order)
+        poly = express_in_generators(target, gens, 2 * r, q_order).poly
+        assert rep.poly == poly * F(5, 7) + GeneratorPoly({(): F(1, 3)})
 
 
 class TestExpressPrefixTable:
@@ -604,7 +664,8 @@ class TestExactSolver:
         # Both eliminate columns left to right, so they find the same pivot
         # columns, and both set free variables to zero; so on a singular
         # system they must return the same member of the solution space,
-        # not merely some solution.
+        # not merely some solution.  The same holds for the matrix with its
+        # columns rescaled, the one express_in_generators solves.
         # The underdetermined express answers (A:4 auto and up) rest on this.
         rng = random.Random(f"solver-{shape}")
         dens = [1, 2, 3, 10**6 + 3, 10**12 + 39]
@@ -627,6 +688,14 @@ class TestExactSolver:
             assert got == expect
             assert free == (rank < n)
             underdetermined += free
+            # as express solves it: integer columns, column j over col_dens[j]
+            # and the target over den_t, each unknown scaled back by d_j/den_t
+            den_t = math.lcm(*[row[-1].denominator for row in aug])
+            scaled, scaled_free = _solve_exact(
+                [[int(v * d) for v, d in zip(row, col_dens)] + [int(row[-1] * den_t)]
+                 for row in aug])
+            assert [y * d / den_t for y, d in zip(scaled, col_dens)] == got
+            assert scaled_free == free
         assert underdetermined >= 10
 
     def test_candidate_count_matches_the_list(self):
