@@ -49,6 +49,7 @@ from .qseries import (
     multiple_divisor_series_odd,
     partition_oracle,
 )
+from .quasimodular import canonical_form
 from .quasishuffle import HARMONIC, QuasiShuffleAlgebra, WordCombo
 from .series import (
     RATIONALS,
@@ -65,7 +66,7 @@ __all__ = [
     "NoRepresentationError", "NonConvergenceError", "NonzeroConstantTermError",
     "QuasiShuffleAlgebra", "RATIONALS", "Representation", "RouteMismatchError", "Series",
     "SeriesValue", "TangentSum", "VerdictReport",
-    "bernoulli", "divisor_power_sums", "eisenstein", "eisenstein_odd",
+    "bernoulli", "canonical_form", "divisor_power_sums", "eisenstein", "eisenstein_odd",
     "eval_qseries_at", "express_in_generators", "extract_polynomials",
     "format_generator_poly", "lemma_combinatorial_check",
     "limit_check", "lipschitz_value", "macmahon_a",

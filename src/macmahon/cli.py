@@ -58,6 +58,7 @@ from .qseries import (
     macmahon_c,
     multiple_divisor_series,
 )
+from .quasimodular import RINGS, express_canonical
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -189,6 +190,8 @@ _GEN_NAME = re.compile(r"Go?([1-9]\d*)")
 # generator's weight, and the solve window q_order stay at or below it.  The
 # window holds one coefficient per candidate monomial plus _SOLVE_MARGIN, so
 # the candidates are counted, never listed, up to the ceiling less the margin.
+# C:r with auto generators solves nothing: its canonical form in G2, Go2, Go4
+# has d_r candidates of weight <= 2r, and the same ceiling counts those.
 EXPRESS_LIMIT = 200
 
 
@@ -205,7 +208,11 @@ def _cmd_express(args) -> int:
     if args.q_order is not None and args.q_order > EXPRESS_LIMIT:
         raise UsageError(f"express admits --q-order <= {EXPRESS_LIMIT}")
 
-    if args.generators == "auto":
+    # C:r auto takes the canonical form (quasimodular.canonical_form); the rest solve
+    canonical = args.generators == "auto" and side == "C"
+    if canonical:
+        names, weights = list(RINGS[side].names), list(RINGS[side].weights)
+    elif args.generators == "auto":
         pairs = generator_names(side, r)
         names, weights = [n for n, _ in pairs], [w for _, w in pairs]
     else:
@@ -222,13 +229,23 @@ def _cmd_express(args) -> int:
             raise UsageError(f"express admits generator weights <= {2 * EXPRESS_LIMIT}")
 
     max_candidates = EXPRESS_LIMIT - _SOLVE_MARGIN
-    if _count_candidates(weights, weight_bound, max_candidates) > max_candidates:
+    counted = 2 * r if canonical else weight_bound
+    count = _count_candidates(weights, counted, max_candidates)
+    if count > max_candidates:
         raise UsageError(f"express admits at most {max_candidates} candidate monomials "
                          f"(q_order <= {EXPRESS_LIMIT}); {args.target} has more "
-                         f"at weight bound {weight_bound}")
+                         f"at weight bound {counted}")
 
-    # a --q-order below the solve window is refused before any series is built
-    _, min_order = _candidate_monomials(weights, weight_bound, args.q_order)
+    # a --q-order below the least window is refused before any series is built:
+    # a solve needs one coefficient per candidate plus _SOLVE_MARGIN, and C:r
+    # auto's check on q^0..q^(2 q_order) must reach q^d_r, d_r its candidates
+    if canonical:
+        min_order = (count + 1) // 2
+        if args.q_order is not None and args.q_order < min_order:
+            raise UsageError(f"q_order must be >= half the number of candidate monomials, "
+                             f"rounded up ({count} / 2 -> {min_order})")
+    else:
+        _, min_order = _candidate_monomials(weights, weight_bound, args.q_order)
     q_order = max(30, min_order) if args.q_order is None else args.q_order
     full_order = 2 * q_order
 
@@ -239,7 +256,8 @@ def _cmd_express(args) -> int:
     params = {"target": args.target, "generators": names,
               "weight_bound": weight_bound, "q_order": q_order}
     try:
-        rep = express_in_generators(target, generators, weight_bound, q_order)
+        rep = (express_canonical(side, r, target, generators, weight_bound, q_order)
+               if canonical else express_in_generators(target, generators, weight_bound, q_order))
     except NoRepresentationError as exc:
         payload = {"status": "no-representation", "reason": str(exc),
                    "weight_bound": weight_bound}

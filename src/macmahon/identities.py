@@ -148,6 +148,18 @@ def _ordered_monomials(poly: GeneratorPoly, names: Sequence[str],
                   key=lambda m: (sum(weights[n] for n in m), tuple([-m.count(n) for n in names])))
 
 
+def _monomial_text(mon: tuple, names: Sequence[str]) -> str:
+    """A monomial as ``G2^2*G4``, its generators in the declared order."""
+    out = []
+    for n in names:
+        e = mon.count(n)
+        if e == 1:
+            out.append(n)
+        elif e > 1:
+            out.append(f"{n}^{e}")
+    return "*".join(out)
+
+
 def format_generator_poly(poly: GeneratorPoly, names: Sequence[str],
                           weights: Optional[dict] = None) -> str:
     """Render a generator polynomial deterministically.
@@ -158,21 +170,10 @@ def format_generator_poly(poly: GeneratorPoly, names: Sequence[str],
     term comes last.
     """
     names = list(names)
-
-    def mon_str(mon):
-        out = []
-        for n in names:
-            e = mon.count(n)
-            if e == 1:
-                out.append(n)
-            elif e > 1:
-                out.append(f"{n}^{e}")
-        return "*".join(out)
-
     pieces = []
     for mon in _ordered_monomials(poly, names, weights):
         c = poly.terms[mon]
-        body = mon_str(mon)
+        body = _monomial_text(mon, names)
         pieces.append(body if c == 1 else f"{c}*{body}")
     if poly.constant:
         pieces.append(str(poly.constant))
@@ -496,6 +497,36 @@ def _solve_exact(matrix: list) -> tuple:
     return x, rank < ncols
 
 
+def _checked_inputs(target: Series, generators: Sequence, verify_order: int) -> list:
+    """The (name, weight, series) triples of ``generators``, or ``ValueError``.
+
+    Names must be distinct, weights positive, and ``target`` and every
+    generator series over the rationals with order >= ``verify_order``.
+    """
+    gens = [(str(n), int(w), s) for n, w, s in generators]
+    if len({n for n, _, _ in gens}) != len(gens):
+        raise ValueError("generator names must be distinct")
+    if any(w < 1 for _, w, _ in gens):
+        raise ValueError("generator weights must be positive")
+    if not isinstance(target, Series) or target.ring is not RATIONALS:
+        raise ValueError("target must be a series over the rationals")
+    for n, _, s in gens:
+        if not isinstance(s, Series) or s.ring is not RATIONALS:
+            raise ValueError(f"generator {n} must be a series over the rationals")
+    if target.order < verify_order or any(s.order < verify_order for _, _, s in gens):
+        raise ValueError(f"target and generator series need order >= {verify_order} "
+                         "(solve window plus re-verification window)")
+    return gens
+
+
+def _check_expansion(got: Series, target: Series, verify_order: int) -> None:
+    """Raise ``NoRepresentationError`` at the first q^n <= ``verify_order`` where the two differ."""
+    want = target.truncate(verify_order)
+    if got != want:
+        n = next(n for n in range(verify_order + 1) if got[n] != want[n])
+        raise NoRepresentationError(f"candidate representation fails re-verification at q^{n}")
+
+
 def express_in_generators(target: Series, generators: Sequence, weight_bound: int,
                           q_order: int) -> Representation:
     """Find a polynomial in the generators whose q-expansion matches ``target``.
@@ -533,21 +564,8 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
     solution space is reported via ``underdetermined``; one solution (free
     variables zero) is still returned.
     """
-    gens = [(str(n), int(w), s) for n, w, s in generators]
-    if len({n for n, _, _ in gens}) != len(gens):
-        raise ValueError("generator names must be distinct")
-    if any(w < 1 for _, w, _ in gens):
-        raise ValueError("generator weights must be positive")
-    if not isinstance(target, Series) or target.ring is not RATIONALS:
-        raise ValueError("target must be a series over the rationals")
-    for n, _, s in gens:
-        if not isinstance(s, Series) or s.ring is not RATIONALS:
-            raise ValueError(f"generator {n} must be a series over the rationals")
     verify_order = 2 * q_order
-    if target.order < verify_order or any(s.order < verify_order for _, _, s in gens):
-        raise ValueError(f"target and generator series need order >= {verify_order} "
-                         "(solve window plus re-verification window)")
-
+    gens = _checked_inputs(target, generators, verify_order)
     exps_list, _ = _candidate_monomials([w for _, w, _ in gens], weight_bound, q_order)
 
     monomials = [GeneratorPoly._monomial([n for (n, _, _), e in zip(gens, exps) for _ in range(e)])
@@ -560,10 +578,7 @@ def express_in_generators(target: Series, generators: Sequence, weight_bound: in
     solution = [y * col._den / target._den for y, col in zip(scaled, columns)]
     poly = GeneratorPoly({mon: c for c, mon in zip(solution, monomials) if c})
     got = sum((table[mon] * c for mon, c in poly.terms.items()), one * Fraction(0))
-    want = target.truncate(verify_order)
-    if got != want:
-        n = next(n for n in range(verify_order + 1) if got[n] != want[n])
-        raise NoRepresentationError(f"candidate representation fails re-verification at q^{n}")
+    _check_expansion(got, target, verify_order)
     return Representation(poly, underdetermined, len(exps_list), q_order, verify_order)
 
 

@@ -46,9 +46,13 @@ Andrews and Rose (J. reine angew. Math. 676, 2013):
     (2k)(2k+1) A_k = (6 A_1 + k(k-1)) A_{k-1} - 2 D A_{k-1}
     (2k)(2k-1) C_k = (2 C_1 + (k-1)^2) C_{k-1} - D C_{k-1}
 
-with D = q d/dq.  A disagreement raises :class:`RouteMismatchError`, which
-``python -O`` does not strip.  The enumeration oracles live in
-:mod:`macmahon.oracles`; ``partition_oracle`` is re-exported here.
+with D = q d/dq (:func:`_andrews_rose` holds the constants).  A
+disagreement raises :class:`RouteMismatchError`, which ``python -O`` does
+not strip.  The same recurrence, run with Ramanujan's D on polynomials in
+G2, G4, G6 (or G2, Go2, Go4) instead of on q-coefficients, gives the
+canonical quasimodular forms of :mod:`macmahon.quasimodular`.  The
+enumeration oracles live in :mod:`macmahon.oracles`; ``partition_oracle``
+is re-exported here.
 
 The library starts no thread, but it may be called from several.  Two
 places depend on that: the Bernoulli cache here, whose appends a lock keeps
@@ -284,6 +288,16 @@ def _chain_slot_bytes(top_exp: int, order: int, depth: int) -> int:
     return _width(min(bits, isqrt(14 * order) + 1 + weight))
 
 
+def _andrews_rose(k: int, odd: bool) -> tuple:
+    """(lead, p, s, d) with lead * X_k = (p X_1 + s) X_{k-1} - d D X_{k-1}, X = A (C if ``odd``).
+
+    The Andrews–Rose recurrence of the module docstring, for k >= 2.
+    """
+    if odd:
+        return 2 * k * (2 * k - 1), 2, (k - 1) ** 2, 1
+    return 2 * k * (2 * k + 1), 6, k * (k - 1), 2
+
+
 def _check_macmahon_chain(rows: list, odd: bool, sieve: Series | None = None) -> None:
     """Check rows A_1..A_r (or C_1..C_r) against a sieve and the recurrence.
 
@@ -305,10 +319,7 @@ def _check_macmahon_chain(rows: list, odd: bool, sieve: Series | None = None) ->
             raise RouteMismatchError("product-DP", "divisor sieve", f"k=1, n={n}")
     one = rows[1]
     for k in range(2, len(rows)):
-        if odd:
-            lead, p_mul, shift, d_mul = 2 * k * (2 * k - 1), 2, (k - 1) ** 2, 1
-        else:
-            lead, p_mul, shift, d_mul = 2 * k * (2 * k + 1), 6, k * (k - 1), 2
+        lead, p_mul, shift, d_mul = _andrews_rose(k, odd)
         prev = rows[k - 1]
         prod = _kronecker_ints(one, prev)
         for n in range(order + 1):

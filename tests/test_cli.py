@@ -246,6 +246,117 @@ class TestExpressCommand:
         assert count([2, 4, 6], 24, limit) == 102  # A:12 --generators G2,G4,G6
         assert count([2, 2, 4], 16, limit) == 95  # C:8 --generators G2,Go2,Go4
         assert count(range(2, 23, 2), 22, limit) == limit + 1  # A:11 auto has 195
+        assert count([2, 2, 4], 20, limit) == 161  # C:10 auto, canonical
+        assert count([2, 2, 4], 22, limit) == limit + 1  # C:11 auto has 203
+
+
+def express_json(capsys, *argv):
+    code, out, err = run(capsys, "express", *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    return json.loads(out)
+
+
+class TestExpressCanonicalC:
+    """C:r with auto generators: the canonical form in G2, Go2, Go4, with no solve."""
+
+    @pytest.mark.parametrize("r,q_order", [(2, 30), (5, 30), (6, 30), (8, 48), (10, 81)])
+    def test_default_q_order_and_unique_answer(self, capsys, r, q_order):
+        loaded = express_json(capsys, "--target", f"C:{r}")
+        assert loaded["parameters"]["generators"] == ["G2", "Go2", "Go4"]
+        assert loaded["parameters"]["q_order"] == q_order
+        assert loaded["payload"]["underdetermined"] is False
+        assert loaded["payload"]["verified_to_order"] == 2 * q_order
+
+    def test_answer_is_the_canonical_form(self, capsys):
+        from macmahon.quasimodular import canonical_form
+        payload = express_json(capsys, "--target", "C:6")["payload"]
+        terms = {tuple(sorted(n for n, e in t["monomial"].items() for _ in range(e))):
+                 Fraction(t["coefficient"]) for t in payload["terms"]}
+        assert terms == canonical_form("C", 6).terms
+        assert payload["constant"] == "0"
+
+    def test_no_solve_window_floor(self, capsys, monkeypatch):
+        # d_5 = 34 candidates would ask for q_order >= 44 in a solve
+        def no_solve(*args):
+            raise AssertionError("a linear system was solved")
+
+        monkeypatch.setattr(cli, "express_in_generators", no_solve)
+        monkeypatch.setattr(identities, "_solve_exact", no_solve)
+        loaded = express_json(capsys, "--target", "C:5", "--q-order", "32")
+        assert loaded["payload"]["verified_to_order"] == 64
+
+    @pytest.mark.parametrize("r,q_order,least", [(5, 16, 17), (5, 0, 17), (8, 47, 48),
+                                                 (1, 1, 2), (10, -3, 81)])
+    def test_q_order_below_half_the_candidates_is_refused(self, capsys, monkeypatch,
+                                                          r, q_order, least):
+        def no_series(*args):
+            raise AssertionError("a series was built")
+
+        for name in ("eisenstein", "eisenstein_odd", "macmahon_a", "macmahon_c"):
+            monkeypatch.setattr(cli, name, no_series)
+        code, out, err = run(capsys, "express", "--target", f"C:{r}", "--q-order", str(q_order))
+        assert (code, out) == (1, "")
+        count = identities._count_candidates([2, 2, 4], 2 * r, 10**6)
+        assert err == ("error: q_order must be >= half the number of candidate monomials, "
+                       f"rounded up ({count} / 2 -> {least})\n")
+
+    def test_least_q_order_is_admitted(self, capsys):
+        # C:1 has the 3 candidates 1, G2 and Go2: q^0..q^4 covers them
+        payload = express_json(capsys, "--target", "C:1", "--q-order", "2")["payload"]
+        assert payload["verified_to_order"] == 4
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_light_weight_bound_names_the_heaviest_monomial(self, capsys, fmt):
+        code, out, err = run(capsys, "express", "--target", "C:3", "--weight-bound", "4",
+                             "--format", fmt)
+        assert (code, err) == (2, "")
+        reason = "C_3 in G2, Go2, Go4 has the monomial G2*Go4 of weight 6"
+        if fmt == "json":
+            payload = json.loads(out)["payload"]
+            assert payload == {"status": "no-representation", "reason": reason,
+                               "weight_bound": 4}
+        else:
+            assert out == f"no representation of C:3 at weight bound 4: {reason}\n"
+
+    def test_heavier_weight_bound_keeps_the_form(self, capsys):
+        light = express_json(capsys, "--target", "C:3")["payload"]
+        heavy = express_json(capsys, "--target", "C:3", "--weight-bound", "1000000")["payload"]
+        assert heavy == light
+
+    @pytest.mark.parametrize("at", [40, 60])
+    def test_doctored_target_fails_where_it_was_doctored(self, capsys, monkeypatch, at):
+        exact = cli.macmahon_c
+
+        def doctored(r, order):
+            coeffs = list(exact(r, order).coeffs)
+            coeffs[at] += 1
+            return Series(coeffs)
+
+        monkeypatch.setattr(cli, "macmahon_c", doctored)
+        code, out, err = run(capsys, "express", "--target", "C:3", "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out)["payload"]["reason"] == \
+            f"candidate representation fails re-verification at q^{at}"
+
+    def test_c11_is_refused_before_any_series(self, capsys, monkeypatch):
+        def refused(*args):
+            raise AssertionError("built past the limit")
+
+        for name in ("eisenstein", "eisenstein_odd", "macmahon_c", "express_canonical"):
+            monkeypatch.setattr(cli, name, refused)
+        code, out, err = run(capsys, "express", "--target", "C:11")
+        assert (code, out) == (1, "")
+        assert err == ("error: express admits at most 190 candidate monomials "
+                       "(q_order <= 200); C:11 has more at weight bound 22\n")
+
+    def test_user_bases_and_a_auto_still_solve(self, capsys, monkeypatch):
+        def no_canonical(*args):
+            raise AssertionError("the canonical route was taken")
+
+        monkeypatch.setattr(cli, "express_canonical", no_canonical)
+        assert run(capsys, "express", "--target", "A:3")[0] == 0
+        assert run(capsys, "express", "--target", "C:3", "--generators", "G2,Go2,Go4")[0] == 0
+        assert run(capsys, "express", "--target", "C:3", "--generators", "Go2,Go4,Go6")[0] == 0
 
 
 class TestNumericCommand:
